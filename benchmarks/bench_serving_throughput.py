@@ -14,14 +14,14 @@ deployment of the paper's online phase (Section V):
    while asserting the served predictions are identical to the reference.
 
 3. **Concurrent predicts, 1 vs 4 shards** — four threads hammering
-   ``predict`` on disjoint building sets against the one-lock service and
-   the sharded service.  On a single-CPU container this is GIL-bound and
+   ``predict`` on disjoint building sets against the service at
+   ``num_shards=1`` and ``num_shards=4``.  On a single-CPU container this is GIL-bound and
    the ratio is expected near 1.0; it is reported for honesty, not as the
    headline.
 
 4. **Serving under retrain load, 1 vs 4 shards** — the stall scenario from
    the continuous-learning motivation: an ingest/serve loop processes
-   steady traffic while periodic retrains fire.  The one-lock reference
+   steady traffic while periodic retrains fire.  The 1-shard reference
    runs retrains synchronously *on the ingest thread* (every retrain stalls
    all traffic for the fit's duration); the sharded service runs them on a
    background :class:`RetrainExecutor` and hot-swaps on completion.  Both
@@ -50,7 +50,6 @@ from repro.serving import (
     FloorServingService,
     LinearScanRouter,
     MacInvertedRouter,
-    ShardedServingService,
 )
 from repro.stream import (
     ContinuousLearningPipeline,
@@ -160,11 +159,8 @@ def _interleaved_stream(splits, prefix, label_every=3, jitter=2.5):
 def measure_concurrent_predicts(sizes, registry, splits,
                                 num_shards: int) -> dict:
     """Wall time for N threads hammering ``predict`` on disjoint probes."""
-    if num_shards == 1:
-        service = FloorServingService(registry=_clone_registry(registry))
-    else:
-        service = ShardedServingService(registry=_clone_registry(registry),
-                                        num_shards=num_shards)
+    service = FloorServingService(registry=_clone_registry(registry),
+                                  num_shards=num_shards)
     per_thread = []
     stream = _interleaved_stream(splits, f"conc{num_shards}-", label_every=1)
     for t in range(sizes["threads"]):
@@ -200,16 +196,13 @@ def measure_retrain_load(sizes, registry, splits, num_shards: int,
                          workers: int) -> dict:
     """Records served in a fixed wall-clock budget while retrains fire.
 
-    ``workers=0`` retrains synchronously on the ingest thread (the one-lock
+    ``workers=0`` retrains synchronously on the ingest thread (the 1-shard
     reference architecture); ``workers>=1`` submits retrains to the
     background executor so traffic keeps flowing and swaps land atomically
     a few records later.
     """
-    if num_shards == 1:
-        service = FloorServingService(registry=_clone_registry(registry))
-    else:
-        service = ShardedServingService(registry=_clone_registry(registry),
-                                        num_shards=num_shards)
+    service = FloorServingService(registry=_clone_registry(registry),
+                                  num_shards=num_shards)
     pipeline = ContinuousLearningPipeline(service, StreamConfig(
         window=WindowConfig(max_records=sizes["window"]),
         drift=DriftConfig(vocabulary_jaccard_min=0.2),  # cadence drives this
@@ -368,7 +361,7 @@ def run_sharded(sizes, label) -> dict:
     load_ratio = sharded["records_per_s"] / sync["records_per_s"]
 
     rows = [
-        {"scenario": "concurrent predicts, 1 shard (one lock)",
+        {"scenario": "concurrent predicts, 1 shard",
          "records_per_s": concurrent[0]["records_per_s"], "detail": ""},
         {"scenario": "concurrent predicts, 4 shards",
          "records_per_s": concurrent[1]["records_per_s"],
@@ -389,7 +382,7 @@ def run_sharded(sizes, label) -> dict:
                       f"budget {sizes['budget_seconds']}s ({label})")
 
     assert load_ratio >= MIN_RETRAIN_LOAD_SPEEDUP, (
-        f"sharded+async serving is only {load_ratio:.2f}x the one-lock "
+        f"sharded+async serving is only {load_ratio:.2f}x the 1-shard "
         "reference under retrain load")
     # The architecture must remove the inline-retrain stall from the
     # serving path, not just shift averages.
@@ -421,7 +414,7 @@ def test_serving_throughput():
 
 
 def test_sharded_throughput_under_load():
-    """4 shards + background retrains must outserve the one-lock reference."""
+    """4 shards + background retrains must outserve the 1-shard reference."""
     run_sharded(FULL, "full")
 
 

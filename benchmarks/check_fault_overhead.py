@@ -23,17 +23,15 @@ Run from CI after the chaos-drill smoke; exits non-zero on violation.
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 import timeit
 
 from repro import faults
-from repro.core import GRAFICS
-from repro.data import make_experiment_split, three_story_campus_building
 from repro.faults import FaultPlan
 
-from bench_online_inference import CONFIG, SMOKE, measure_cold_serving
+from bench_online_inference import SMOKE, measure_cold_serving
+from overhead_ab import interleaved_ratio, smoke_cold_path
 
 #: Per-call budget for a disabled ``failpoints.fire``.  Two orders of
 #: magnitude above the measured cost (~60ns) so runner noise cannot trip
@@ -63,14 +61,8 @@ def check_disabled_fire_cost() -> float:
     return per_call
 
 
-def check_cold_path_ratio() -> tuple[float, float]:
-    sizes = SMOKE
-    dataset = three_story_campus_building(
-        records_per_floor=sizes["records_per_floor"], seed=7)
-    split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
-    model = GRAFICS(CONFIG).fit(list(split.train_records), split.labels)
-    probes = [r.without_floor()
-              for r in split.test_records[: sizes["probes"] * 2]]
+def check_cold_path_ratio() -> float:
+    dataset, model, probes = smoke_cold_path()
 
     def measure(armed: bool) -> float:
         if armed:
@@ -84,31 +76,17 @@ def check_cold_path_ratio() -> tuple[float, float]:
             faults.uninstall()
         try:
             result = measure_cold_serving({"model": model}, dataset, probes,
-                                          sizes["cold_predicts"])
+                                          SMOKE["cold_predicts"])
         finally:
             faults.uninstall()
         return result["model"]["records_per_s"]
 
-    ratios: list[float] = []
-    rounds: list[tuple[float, float]] = []
-    for round_index in range(AB_ROUNDS):
-        if round_index % 2 == 0:
-            disabled = measure(armed=False)
-            armed = measure(armed=True)
-        else:
-            armed = measure(armed=True)
-            disabled = measure(armed=False)
-        rounds.append((disabled, armed))
-        ratios.append(disabled / armed)
-    ratio = statistics.median(ratios)
-    print(f"cold path over {AB_ROUNDS} interleaved rounds: median "
-          f"disabled/armed {ratio:.2f} (floor {MIN_DISABLED_OVER_ARMED}); "
-          f"per-round ratios {[f'{r:.2f}' for r in ratios]}")
-    assert ratio >= MIN_DISABLED_OVER_ARMED, (
-        f"cold path with failpoints disabled lost to the armed run "
-        f"(median ratio {ratio:.2f} over {AB_ROUNDS} interleaved rounds); "
-        "the disabled failpoint path is doing real work")
-    return rounds[0]
+    return interleaved_ratio(
+        lambda: measure(armed=False), lambda: measure(armed=True),
+        rounds=AB_ROUNDS, floor=MIN_DISABLED_OVER_ARMED,
+        label="cold path disabled/armed",
+        failure="cold path with failpoints disabled lost to the armed run; "
+                "the disabled failpoint path is doing real work")
 
 
 def main() -> int:

@@ -14,25 +14,22 @@ for that):
    run that loses to a traced run by more than the margin means the
    disabled path regressed (e.g. an instrumentation point started
    allocating or reading a clock unconditionally).  The ratio is the
-   *median over several interleaved disabled/traced rounds* (alternating
-   which mode runs first) — a single A/B pair is at the mercy of one noisy
-   neighbour on a shared runner, the median of interleaved rounds is not.
+   *median over several interleaved disabled/traced rounds* (see
+   ``overhead_ab.py``).
 
 Run from CI after the benchmark smokes; exits non-zero on violation.
 """
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 import timeit
 
-from repro.core import GRAFICS
-from repro.data import make_experiment_split, three_story_campus_building
 from repro.obs import runtime as obs
 
-from bench_online_inference import CONFIG, SMOKE, measure_cold_serving
+from bench_online_inference import SMOKE, measure_cold_serving
+from overhead_ab import interleaved_ratio, smoke_cold_path
 
 #: Per-call budget for a disabled span block.  Two orders of magnitude
 #: above the measured cost (~0.3µs) so CI-runner noise cannot trip it,
@@ -64,14 +61,8 @@ def check_null_span_cost() -> float:
     return per_call
 
 
-def check_cold_path_ratio() -> tuple[float, float]:
-    sizes = SMOKE
-    dataset = three_story_campus_building(
-        records_per_floor=sizes["records_per_floor"], seed=7)
-    split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
-    model = GRAFICS(CONFIG).fit(list(split.train_records), split.labels)
-    probes = [r.without_floor()
-              for r in split.test_records[: sizes["probes"] * 2]]
+def check_cold_path_ratio() -> float:
+    dataset, model, probes = smoke_cold_path()
 
     def measure(traced: bool) -> float:
         if traced:
@@ -80,36 +71,17 @@ def check_cold_path_ratio() -> tuple[float, float]:
             obs.disable()
         try:
             result = measure_cold_serving({"model": model}, dataset, probes,
-                                          sizes["cold_predicts"])
+                                          SMOKE["cold_predicts"])
         finally:
             obs.disable()
         return result["model"]["records_per_s"]
 
-    # Interleave the A/B pairs and alternate which mode goes first: a CPU
-    # frequency ramp or a noisy neighbour then hits both modes evenly, and
-    # the median round is representative where a single pair is a lottery.
-    ratios: list[float] = []
-    rounds: list[tuple[float, float]] = []
-    for round_index in range(AB_ROUNDS):
-        if round_index % 2 == 0:
-            disabled = measure(traced=False)
-            traced = measure(traced=True)
-        else:
-            traced = measure(traced=True)
-            disabled = measure(traced=False)
-        rounds.append((disabled, traced))
-        ratios.append(disabled / traced)
-    ratio = statistics.median(ratios)
-    disabled, traced = rounds[ratios.index(ratio)] \
-        if ratio in ratios else rounds[0]
-    print(f"cold path over {AB_ROUNDS} interleaved rounds: median "
-          f"disabled/traced {ratio:.2f} (floor {MIN_DISABLED_OVER_TRACED}); "
-          f"per-round ratios {[f'{r:.2f}' for r in ratios]}")
-    assert ratio >= MIN_DISABLED_OVER_TRACED, (
-        f"cold path with observability disabled lost to the fully traced "
-        f"run (median ratio {ratio:.2f} over {AB_ROUNDS} interleaved "
-        "rounds); the disabled path is doing real work")
-    return disabled, traced
+    return interleaved_ratio(
+        lambda: measure(traced=False), lambda: measure(traced=True),
+        rounds=AB_ROUNDS, floor=MIN_DISABLED_OVER_TRACED,
+        label="cold path disabled/traced",
+        failure="cold path with observability disabled lost to the fully "
+                "traced run; the disabled path is doing real work")
 
 
 def main() -> int:

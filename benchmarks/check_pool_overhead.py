@@ -16,9 +16,7 @@ much for that):
    record over the pipe, compute, pickle the prediction back) with zero
    batching to amortise it — so this is the honest upper bound on the
    per-request tax.  The ratio is the *median over several interleaved
-   in-process/pooled rounds* (alternating which mode runs first) — a
-   single A/B pair is at the mercy of one noisy neighbour on a shared
-   runner, the median of interleaved rounds is not.
+   in-process/pooled rounds* (see ``overhead_ab.py``).
 
 Run from CI after the benchmark smokes; exits non-zero on violation.
 """
@@ -26,16 +24,14 @@ Run from CI after the benchmark smokes; exits non-zero on violation.
 from __future__ import annotations
 
 import multiprocessing
-import statistics
 import sys
 import time
 
-from repro.core import GRAFICS
 from repro.core.registry import MultiBuildingFloorService
-from repro.data import make_experiment_split, three_story_campus_building
 from repro.serving import FloorServingService, ServingConfig
 
 from bench_online_inference import CONFIG, SMOKE
+from overhead_ab import interleaved_ratio, smoke_cold_path
 
 #: The pooled sequential cold path must reach this fraction of in-process
 #: throughput (acceptance line: workers=1 dispatch overhead <= 25% on the
@@ -89,41 +85,19 @@ def check_dispatch_overhead(model, dataset, probes) -> float:
                 service.predict(probes[i % len(probes)])
             return cold_predicts / (time.perf_counter() - start)
 
-        # Interleave and alternate which mode goes first: a CPU frequency
-        # ramp or a noisy neighbour then hits both modes evenly, and the
-        # median round is representative where a single pair is a lottery.
-        ratios: list[float] = []
-        for round_index in range(AB_ROUNDS):
-            if round_index % 2 == 0:
-                base = measure(inproc)
-                pool = measure(pooled)
-            else:
-                pool = measure(pooled)
-                base = measure(inproc)
-            ratios.append(pool / base)
+        return interleaved_ratio(
+            lambda: measure(pooled), lambda: measure(inproc),
+            rounds=AB_ROUNDS, floor=MIN_POOLED_OVER_INPROCESS,
+            label="sequential cold path pooled/in-process",
+            failure="workers=1 sequential dispatch overhead exceeded "
+                    "budget; per-request dispatch got expensive")
     finally:
         pooled.close()
-    ratio = statistics.median(ratios)
-    print(f"sequential cold path over {AB_ROUNDS} interleaved rounds: "
-          f"median pooled/in-process {ratio:.2f} "
-          f"(floor {MIN_POOLED_OVER_INPROCESS}); "
-          f"per-round ratios {[f'{r:.2f}' for r in ratios]}")
-    assert ratio >= MIN_POOLED_OVER_INPROCESS, (
-        f"workers=1 sequential dispatch overhead exceeded budget (median "
-        f"pooled/in-process ratio {ratio:.2f} over {AB_ROUNDS} interleaved "
-        "rounds); per-request dispatch got expensive")
-    return ratio
 
 
 def main() -> int:
     started = time.perf_counter()
-    sizes = SMOKE
-    dataset = three_story_campus_building(
-        records_per_floor=sizes["records_per_floor"], seed=7)
-    split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
-    model = GRAFICS(CONFIG).fit(list(split.train_records), split.labels)
-    probes = [r.without_floor()
-              for r in split.test_records[: sizes["probes"] * 2]]
+    dataset, model, probes = smoke_cold_path()
     check_disabled_path(model, dataset, probes)
     check_dispatch_overhead(model, dataset, probes)
     print(f"pool overhead smoke passed in "

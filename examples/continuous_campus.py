@@ -53,7 +53,7 @@ def main() -> None:
     split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
     service.fit_building(dataset.subset(split.train_records), split.labels)
     print(f"trained science-wing: {len(split.train_records)} records, "
-          f"{len(service.registry.vocabulary_for('science-wing'))} APs")
+          f"{len(service.vocabulary_for('science-wing'))} APs")
 
     pipeline = ContinuousLearningPipeline(service, StreamConfig(
         window=WindowConfig(max_records=96),

@@ -167,7 +167,8 @@ def main() -> None:
         # machine-readable reason an operator (or rebalancer) acts on.
         print("\ninjecting a 2 s tail-latency anomaly...")
         for _ in range(12):
-            service.telemetry.observe("request_seconds", 2.0)
+            service.shard_for("science-wing").telemetry.observe(
+                "request_seconds", 2.0)
         status, body = fetch(server.url + "/healthz")
         report = json.loads(body)
         card = report["buildings"]["science-wing"]

@@ -3,9 +3,10 @@
 Run with:  python examples/sharded_campus.py
 
 A campus of several buildings is served by a :class:`ShardedServingService`
-— buildings hash-partition across 4 shards, each with its own lock, cache
-partition and router postings, while attribution stays globally identical
-to the one-lock reference.  Crowdsourced traffic streams through a
+(the serving service with ``num_shards=4``) — buildings hash-partition
+across 4 shards, each with its own lock, cache partition and router
+postings, while attribution stays globally identical to the sequential
+registry reference.  Crowdsourced traffic streams through a
 :class:`ContinuousLearningPipeline` configured with a background
 :class:`RetrainExecutor` (``retrain_workers=1``), so when one building's
 APs churn, its retrain runs off the ingest thread and the hot swap lands a

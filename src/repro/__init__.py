@@ -9,7 +9,9 @@ Public entry points:
 
 * :class:`repro.GRAFICS` / :class:`repro.GraficsConfig` — the end-to-end system.
 * :class:`repro.FloorServingService` — the production serving stack (routing,
-  caching, micro-batching, telemetry, hot swap).
+  caching, micro-batching, telemetry, hot swap), partitioned across
+  ``num_shards`` shards (default 1); ``repro.ShardedServingService`` is the
+  same class.
 * :mod:`repro.core` — graph, embeddings, clustering, online inference.
 * :mod:`repro.serving` — router, prediction cache, micro-batcher, telemetry.
 * :mod:`repro.stream` — streaming ingestion, sliding-window graph

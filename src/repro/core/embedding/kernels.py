@@ -8,7 +8,8 @@ train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
   one skip-gram step per objective term, each gathering its own rows and
   scattering its gradients through ``np.add.at``.  This is the default, and
   every byte-identity guarantee of the serving and streaming stacks (cache
-  hits equal recomputation, checkpoint-resume replays, sharded == one-lock)
+  hits equal recomputation, checkpoint-resume replays, every shard count
+  == the sequential registry)
   is stated — and test-enforced — against it.  Frozen training (a
   ``trainable`` mask, the online-inference path) computes and scatters only
   the trainable-row subset of the gradients; the subset updates are the

@@ -42,6 +42,7 @@ __all__ = [
     "CheckpointCorruptError",
     "save_model",
     "load_model",
+    "fit_model",
     "save_registry",
     "load_registry",
     "save_stream_state",
@@ -363,6 +364,29 @@ def _atomic_save_model(model: GRAFICS, path: Path) -> None:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def fit_model(config: GraficsConfig, dataset, labels,
+              warm_start: GraphEmbedding | None = None,
+              kernel: str | None = None, sampler_mode: str | None = None,
+              model_path: str | Path | None = None) -> GRAFICS:
+    """Fit a fresh model off to the side; optionally persist and reload it.
+
+    The one retrain routine behind every hot swap (the service's
+    ``retrain_building`` and the stream executor).  With ``model_path``
+    the model is written atomically (temp file, then rename) and read
+    back, so what the caller installs is exactly what a restart would
+    load from disk.  Installing stays with the caller.
+    """
+    model = GRAFICS(config)
+    model.fit(dataset, labels, warm_start=warm_start, kernel=kernel,
+              sampler_mode=sampler_mode)
+    if model_path is not None:
+        model_path = Path(model_path)
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_save_model(model, model_path)
+        model = load_model(model_path)
+    return model
 
 
 def save_registry(service: MultiBuildingFloorService, directory: str | Path) -> None:

@@ -5,7 +5,7 @@ rejection counters, cache hit rates, latency histograms, retrain backlogs
 — but "is building B healthy?" requires *fusing* them.  This module owns
 that fusion:
 
-* :class:`HealthMonitor` watches a serving façade (one-lock or sharded)
+* :class:`HealthMonitor` watches a serving façade (any shard count)
   and optionally the :class:`ContinuousLearningPipeline` driving it, and
   renders :class:`Scorecard`\\ s per building, per shard and for the
   service as a whole.
@@ -194,8 +194,9 @@ class HealthMonitor:
     ----------
     service:
         A serving façade — anything exposing ``building_ids`` and
-        ``telemetry``; a ``shards`` attribute (the sharded service) adds
-        per-shard scorecards and attributes each building's latency/cache
+        ``telemetry``; a ``shards`` attribute (as on
+        :class:`~repro.serving.FloorServingService`) adds per-shard
+        scorecards and attributes each building's latency/cache
         signals to its owning shard.  Defaults to ``pipeline.service``.
     pipeline:
         Optional :class:`ContinuousLearningPipeline`; adds drift-latch,
@@ -436,9 +437,9 @@ class HealthMonitor:
                                                          dict[str, float]]:
         """Compute-pool dispatch and snapshot-shipping health (info only).
 
-        Reads the service-level counters the pool records (both the
-        one-lock and the sharded service construct their shared pool with
-        the service telemetry): recent dispatch rate, and what fraction of
+        Reads the service-level counters the pool records (the service
+        constructs its shared pool with the service-level telemetry):
+        recent dispatch rate, and what fraction of
         dispatches reused a snapshot already resident on the worker rather
         than re-shipping the pickled model.  A low snapshot hit rate means
         swap churn is outpacing the shipping economics — worth surfacing,

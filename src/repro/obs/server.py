@@ -1,13 +1,12 @@
 """Stdlib HTTP endpoint serving metrics, health, SLO status and spans.
 
 :class:`ObsServer` is the last mile of the observability stack: a
-``ThreadingHTTPServer`` (no third-party dependencies) that any serving
-façade — :class:`FloorServingService`, :class:`ShardedServingService` —
-or a :class:`ContinuousLearningPipeline` plugs into, exposing:
+``ThreadingHTTPServer`` (no third-party dependencies) that a
+:class:`FloorServingService` (any shard count) or a
+:class:`ContinuousLearningPipeline` plugs into, exposing:
 
-* ``GET /metrics`` — Prometheus text exposition of the service telemetry;
-  for a sharded service the per-shard registries are merged into one
-  fleet view.
+* ``GET /metrics`` — Prometheus text exposition of the service telemetry,
+  with the per-shard registries merged into one fleet view.
 * ``GET /healthz`` — the :class:`~repro.obs.health.HealthMonitor` report:
   aggregate status plus per-building and per-shard scorecards with
   machine-readable reasons.  Responds ``200`` while the fleet is healthy

@@ -13,10 +13,11 @@ stack able to front a large multi-building registry under heavy traffic:
 * :mod:`~repro.serving.telemetry` — latency histograms, throughput counters
   and ``snapshot()`` export;
 * :mod:`~repro.serving.service` — the :class:`FloorServingService` façade
-  composing all of the above with per-building model hot swap;
-* :mod:`~repro.serving.sharding` — the same façade hash-partitioned across
-  N :class:`Shard`\\ s, each with its own lock, cache partition, router
-  postings and telemetry (:class:`ShardedServingService`);
+  composing all of the above with per-building model hot swap,
+  hash-partitioned across ``num_shards`` :class:`Shard`\\ s (default 1),
+  each with its own lock, cache partition, router postings and telemetry;
+  :class:`ShardedServingService` is the same class under its historical
+  name (also importable from :mod:`~repro.serving.sharding`);
 * :mod:`~repro.serving.pool` — a persistent :class:`ComputePool` of worker
   processes behind the cold path's plan/compute/commit split, scaling cold
   serving with cores instead of GIL-bound threads (``compute_workers``).
@@ -26,8 +27,15 @@ from .batcher import Batch, MicroBatcher
 from .cache import PredictionCache, fingerprint_key
 from .pool import ComputePool, WorkerCrashError
 from .router import LinearScanRouter, MacInvertedRouter, Router, RoutingDecision
-from .service import FloorServingService, ServingConfig, ServingResult
-from .sharding import Shard, ShardedRouter, ShardedServingService, shard_index
+from .service import (
+    FloorServingService,
+    ServingConfig,
+    ServingResult,
+    Shard,
+    ShardedRouter,
+    ShardedServingService,
+    shard_index,
+)
 from .telemetry import LatencyHistogram, ServingTelemetry
 
 __all__ = [

@@ -155,7 +155,14 @@ class MacInvertedRouter(Router):
             router.add_building(building_id, vocabulary)
         return router
 
-    def add_building(self, building_id: str, vocabulary: Iterable[str]) -> None:
+    def add_building(self, building_id: str, vocabulary: Iterable[str],
+                     position: int | None = None) -> None:
+        """Register or hot-swap a building (see :meth:`Router.add_building`).
+
+        ``position`` sets a newly registered building's tie-break position
+        instead of the next local one — a partitioned router hands each
+        shard's index the building's *global* registration position.
+        """
         vocab = frozenset(vocabulary)
         previous = self._vocabularies.get(building_id)
         if previous is not None:
@@ -169,8 +176,10 @@ class MacInvertedRouter(Router):
                     del self._index[mac]
             added = vocab - previous
         else:
-            self._positions[building_id] = self._next_position
-            self._next_position += 1
+            if position is None:
+                position = self._next_position
+                self._next_position += 1
+            self._positions[building_id] = position
             added = vocab
         self._vocabularies[building_id] = vocab
         for mac in added:
@@ -201,10 +210,7 @@ class MacInvertedRouter(Router):
     def candidate_hits(self, macs: set[str]) -> dict[str, int]:
         """Per-building count of the probe MACs present in its vocabulary.
 
-        Only buildings sharing at least one MAC with the probe appear.  This
-        is the shard-local half of attribution: a partitioned deployment
-        (:mod:`repro.serving.sharding`) collects these maps from every shard
-        and runs the selection rule over the union.
+        Only buildings sharing at least one MAC with the probe appear.
         """
         hits: dict[str, int] = {}
         index = self._index
@@ -213,28 +219,30 @@ class MacInvertedRouter(Router):
                 hits[building_id] = hits.get(building_id, 0) + 1
         return hits
 
-    @staticmethod
-    def select_best(hits: dict[str, int],
-                    positions: dict[str, int]) -> tuple[str | None, int]:
-        """The attribution rule over candidate hit counts.
+    def best_candidate(self, macs: set[str]) -> tuple[str | None, int, int]:
+        """The attribution rule: ``(building, hits, position)`` of the winner.
 
-        Picks the building with the most hits; equal counts fall to the
-        earliest-registered building (smallest position) — exactly the
-        strict-improvement linear scan in registration order.
+        Picks the building with the most probe-MAC hits; equal counts fall
+        to the earliest-registered building (smallest position) — exactly
+        the strict-improvement linear scan in registration order.
+        ``(None, 0, -1)`` when no building shares a MAC with the probe.
+        This is also the shard-local half of partitioned attribution: a
+        :class:`~repro.serving.service.ShardedRouter` applies the same rule
+        to every shard's winner, whose positions are global.
         """
         best_building, best_hits, best_position = None, 0, -1
-        for building_id, count in hits.items():
+        positions = self._positions
+        for building_id, count in self.candidate_hits(macs).items():
             position = positions[building_id]
             if count > best_hits or (count == best_hits
                                      and position < best_position):
                 best_building, best_hits, best_position = \
                     building_id, count, position
-        return best_building, best_hits
+        return best_building, best_hits, best_position
 
     def route(self, record: SignalRecord) -> RoutingDecision:
         macs = self._probe_macs(record, len(self._vocabularies))
-        hits = self.candidate_hits(macs)
-        best_building, best_hits = self.select_best(hits, self._positions)
+        best_building, best_hits, _ = self.best_candidate(macs)
         best_overlap = best_hits / len(macs)
         if best_building is None or best_overlap < self.min_overlap:
             self._reject(record, best_overlap)

@@ -3,8 +3,8 @@
 :class:`FloorServingService` wraps a :class:`MultiBuildingFloorService`
 registry with the production plumbing the research pipeline lacks:
 
-* **routing** — building attribution via the O(|record.rss|) inverted MAC
-  index (:mod:`repro.serving.router`), kept exactly equivalent to the
+* **routing** — building attribution via O(|record.rss|) inverted MAC
+  indices (:mod:`repro.serving.router`), kept exactly equivalent to the
   registry's reference linear scan;
 * **caching** — a bounded LRU/TTL prediction cache keyed on the canonical
   quantised fingerprint (:mod:`repro.serving.cache`);
@@ -16,12 +16,23 @@ registry with the production plumbing the research pipeline lacks:
 * **hot swap** — per-building retrain-and-replace through the persistence
   layer, atomic with respect to concurrent serving calls.
 
-The synchronous :meth:`predict` / :meth:`predict_batch` path computes
-predictions identical to the sequential
-``MultiBuildingFloorService.predict`` reference — per-record incremental
-embedding is deterministic and independent of batch composition — which is
-what makes the cache and the grouped dispatch safe to layer on top.  The
-one deliberate deviation: with caching enabled, records that agree on the
+GRAFICS trains one model per building, so the building is the unit of
+partitioning: the stack is split into ``num_shards`` :class:`Shard` objects
+(default 1), each owning its own lock, registry slice, router postings,
+cache partition, micro-batch buckets and telemetry.  Buildings are placed
+on shards by a stable hash (CRC-32 of the building id), so the placement
+survives restarts and is identical on every node.  Attribution stays
+global: :class:`ShardedRouter` picks among every shard's best candidate
+with a *global* registration-order tie-break, so a record lands on exactly
+the building the registry's reference scan would pick.
+
+The synchronous :meth:`~FloorServingService.predict` /
+:meth:`~FloorServingService.predict_batch` path computes predictions
+identical to the sequential ``MultiBuildingFloorService.predict``
+reference, for any shard count — per-record incremental embedding is
+deterministic and independent of batch composition — which is what makes
+the cache and the grouped dispatch safe to layer on top.  The one
+deliberate deviation: with caching enabled, records that agree on the
 quantised fingerprint (RSS rounded to ``rss_quantum``) share one cached
 prediction instead of each being recomputed.
 """
@@ -31,12 +42,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import zlib
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core.inference import UnknownEnvironmentError
-from ..core.persistence import _atomic_save_model, load_model
+from ..core.persistence import fit_model, load_model
 from ..core.pipeline import GRAFICS, GraficsConfig
 from ..core.registry import BuildingPrediction, MultiBuildingFloorService
 from ..core.types import FingerprintDataset, SignalRecord
@@ -46,265 +58,11 @@ from ..obs.log import log_event
 from .batcher import Batch, MicroBatcher
 from .cache import PredictionCache, fingerprint_key
 from .pool import ComputePool, WorkerCrashError
-from .router import MacInvertedRouter
+from .router import MacInvertedRouter, Router, RoutingDecision
 from .telemetry import ServingTelemetry
 
-__all__ = ["ServingConfig", "ServingResult", "FloorServingService"]
-
-
-@dataclass
-class _ServePlan:
-    """The locked-phase outcome of one ``predict_batch`` slice.
-
-    Cache hits are already written into ``results`` when the plan is built;
-    what remains is the per-building engine work, pinned to the *model
-    snapshots* taken under the lock so the computation can run without it.
-    """
-
-    misses: list[tuple[str, object, list[int]]]  # (building, model, positions)
-    keys: dict[int, str]
-    served: int                                  # positions covered (hits + misses)
-
-
-def _plan_positions(records: Sequence[SignalRecord],
-                    routed: Sequence, positions: Iterable[int],
-                    *, registry: MultiBuildingFloorService,
-                    cache: PredictionCache, telemetry: ServingTelemetry,
-                    config: ServingConfig,
-                    results: list[BuildingPrediction | None]) -> _ServePlan:
-    """Cache lookups + model snapshots for a slice of a batch (lock held).
-
-    The first of the three phases of the synchronous serving core, shared
-    verbatim by the one-lock service (slice = the whole batch) and by each
-    shard of the sharded service (slice = that shard's positions): the
-    "predictions byte-identical" guarantee between the two is structural
-    because this is literally the same code.  The caller holds whatever
-    lock guards ``registry``/``cache``/``telemetry``.
-    """
-    with obs.span("serving.plan") as plan_span:
-        positions = list(positions)
-        miss_positions: dict[str, list[int]] = {}
-        keys: dict[int, str] = {}
-        for position in positions:
-            record, decision = records[position], routed[position]
-            if config.enable_cache:
-                key = fingerprint_key(decision.building_id, record,
-                                      quantum=config.rss_quantum)
-                keys[position] = key
-                cached = cache.get(key)
-                if cached is not None:
-                    telemetry.increment("cache_hits_total")
-                    results[position] = replace(cached,
-                                                record_id=record.record_id)
-                    continue
-                telemetry.increment("cache_misses_total")
-            miss_positions.setdefault(decision.building_id, []).append(position)
-
-        misses = []
-        for building_id, miss in miss_positions.items():
-            try:
-                model = registry.model_for(building_id)
-            except KeyError:
-                # A building can be evicted between routing and the serving
-                # lock (sharded routing, or the lock-light window of the
-                # one-lock service).  Surface the clean rejection routing a
-                # vanished building would have produced.
-                raise UnknownEnvironmentError(
-                    f"building {building_id!r} was evicted between routing "
-                    "and dispatch") from None
-            misses.append((building_id, model, miss))
-        plan_span.set("positions", len(positions))
-        plan_span.set("miss_groups", len(misses))
-        return _ServePlan(misses=misses, keys=keys, served=len(positions))
-
-
-def _still_installed(registry: MultiBuildingFloorService, building_id: str,
-                     model) -> bool:
-    """Is ``model`` still the installed model of ``building_id``?
-
-    The stale-swap cache guard: predictions computed during the unlocked
-    phase are cached only while their snapshot model is still live — a hot
-    swap or eviction already invalidated the building's entries, and
-    re-inserting a pre-swap prediction would resurrect exactly the
-    staleness the invalidation removed.
-    """
-    try:
-        return registry.model_for(building_id) is model
-    except KeyError:
-        return False
-
-
-def _compute_plan(records: Sequence[SignalRecord], plan: _ServePlan,
-                  *, telemetry: ServingTelemetry,
-                  pool: ComputePool | None = None) -> list[list]:
-    """Run the planned engine work — *without* any serving lock.
-
-    Online inference is mutation-free (overlay-based), so concurrent
-    computations against one model snapshot need no mutual exclusion; only
-    the thread-safe telemetry is touched.  Returns one prediction list per
-    planned miss group, in plan order.
-
-    With a ``pool``, each miss group's engine work runs in worker
-    processes against the shipped model snapshot (byte-identical output:
-    ``independent=True`` inference is per-record deterministic and a
-    pickled model predicts exactly like its source).  The ``serve.compute``
-    failpoint is still evaluated here, in the parent — one hit per call,
-    same process-global counter as the in-process fire — but its effect
-    executes inside the worker computing the first miss group; a batch of
-    pure cache hits counts the hit with no compute left to fault.  The
-    pool records compute timings and batch counters itself, from the
-    workers' own measurements.
-    """
-    with obs.span("serving.compute") as compute_span:
-        if pool is None:
-            directives = None
-            failpoints.fire("serve.compute")
-        else:
-            directives = failpoints.evaluate("serve.compute")
-        outputs = []
-        computed = 0
-        for index, (building_id, model, miss) in enumerate(plan.misses):
-            batch = [records[i] for i in miss]
-            if pool is None:
-                with telemetry.time("batch_seconds"):
-                    floor_predictions = model.predict_batch(batch,
-                                                            independent=True)
-                telemetry.increment("batches_total")
-                telemetry.increment("batched_records_total", len(batch))
-            else:
-                floor_predictions = pool.compute(
-                    building_id, model, batch,
-                    directives=directives if index == 0 else None)
-            computed += len(batch)
-            outputs.append(floor_predictions)
-        compute_span.set("records", computed)
-        return outputs
-
-
-def _commit_plan(routed: Sequence, plan: _ServePlan, outputs: list[list],
-                 *, registry: MultiBuildingFloorService,
-                 cache: PredictionCache, telemetry: ServingTelemetry,
-                 config: ServingConfig,
-                 results: list[BuildingPrediction | None]) -> None:
-    """Fill results and the cache from computed predictions (lock held again).
-
-    Cache fills go through the :func:`_still_installed` stale-swap guard;
-    the computed predictions themselves are always returned — the request
-    was routed and served by the model that was live when it was planned.
-    """
-    with obs.span("serving.commit"):
-        for (building_id, model, miss), floor_predictions in zip(plan.misses,
-                                                                 outputs):
-            cacheable = (config.enable_cache
-                         and _still_installed(registry, building_id, model))
-            for position, floor_prediction in zip(miss, floor_predictions):
-                prediction = BuildingPrediction(
-                    record_id=floor_prediction.record_id,
-                    building_id=building_id,
-                    floor=floor_prediction.floor,
-                    mac_overlap=routed[position].overlap,
-                    distance=floor_prediction.distance)
-                results[position] = prediction
-                if cacheable:
-                    cache.put(plan.keys[position], prediction,
-                              building_id=building_id)
-        telemetry.increment("predictions_total", plan.served)
-
-
-def _dispatch_batch(batch: Batch, *, lock,
-                    registry: MultiBuildingFloorService,
-                    cache: PredictionCache, telemetry: ServingTelemetry,
-                    config: ServingConfig,
-                    buffer_result: Callable[[ServingResult], None],
-                    pool: ComputePool | None = None) -> None:
-    """Run one released micro-batch through the engine; buffer its results.
-
-    Shared by the one-lock service and every shard, for the same
-    byte-identity reason as the :func:`_plan_positions` /
-    :func:`_compute_plan` / :func:`_commit_plan` trio — and with the same
-    locking shape: the caller must *not* hold ``lock``; it is taken only to
-    snapshot the model and to commit results, while the engine computation
-    in between runs unlocked (online inference is mutation-free).  A batch
-    whose building vanished between release and dispatch surfaces as
-    rejected results, exactly as an eviction of the still-queued requests
-    would have; a batch overlapping a hot swap is served wholly by the
-    snapshot model — the building's *current* model at dispatch time, which
-    may post-date the routing decision — and skips the cache fill (the
-    stale-put guard).  If that newer model can no longer attribute the
-    batch's records (their MACs left the vocabulary), the whole batch
-    surfaces as rejected instead of the exception escaping and losing the
-    sibling results.  ``buffer_result`` is invoked under ``lock`` so the
-    owner's completion buffer may be swapped concurrently by
-    ``poll``/``drain``.
-    """
-    def reject_all(error: str) -> None:
-        with lock:
-            for record, _, _, request_id in batch.items:
-                telemetry.increment("rejections_total")
-                buffer_result(ServingResult(record_id=record.record_id,
-                                            prediction=None,
-                                            source="rejected", error=error,
-                                            trace_id=request_id))
-
-    with obs.span("serving.dispatch") as dispatch_span:
-        dispatch_span.set("building", batch.building_id)
-        dispatch_span.set("reason", batch.reason)
-        dispatch_span.set("size", len(batch.items))
-        telemetry.observe("queue_wait_seconds", batch.queued_seconds)
-        with lock:
-            try:
-                model = registry.model_for(batch.building_id)
-            except KeyError:
-                reject_all(f"building {batch.building_id!r} was evicted "
-                           "before the request was dispatched")
-                return
-        records = [record for record, _, _, _ in batch.items]
-        if pool is None:
-            failpoints.fire("serve.compute", building_id=batch.building_id)
-            try:
-                with telemetry.time("batch_seconds"):
-                    floor_predictions = model.predict_batch(records,
-                                                            independent=True)
-            except UnknownEnvironmentError as error:
-                reject_all(str(error))
-                return
-            telemetry.increment("batches_total")
-            telemetry.increment("batched_records_total", len(records))
-        else:
-            # The parent decides the serve.compute hit (keeping the
-            # process-global fault counter deterministic); the worker
-            # computing the batch executes it.  A worker dying mid-batch
-            # surfaces as retryable rejections — never a hang — while the
-            # pool respawns the worker underneath.
-            directives = failpoints.evaluate("serve.compute",
-                                             building_id=batch.building_id)
-            try:
-                floor_predictions = pool.compute(batch.building_id, model,
-                                                 records,
-                                                 directives=directives)
-            except (UnknownEnvironmentError, WorkerCrashError) as error:
-                reject_all(str(error))
-                return
-        telemetry.increment(f"batch_flush_{batch.reason}_total")
-        telemetry.increment("predictions_total", len(records))
-        with lock:
-            cacheable = (config.enable_cache
-                         and _still_installed(registry, batch.building_id,
-                                              model))
-            for (record, decision, key, request_id), floor_prediction in zip(
-                    batch.items, floor_predictions):
-                prediction = BuildingPrediction(
-                    record_id=floor_prediction.record_id,
-                    building_id=batch.building_id,
-                    floor=floor_prediction.floor,
-                    mac_overlap=decision.overlap,
-                    distance=floor_prediction.distance)
-                if cacheable and key is not None:
-                    cache.put(key, prediction, building_id=batch.building_id)
-                buffer_result(ServingResult(record_id=record.record_id,
-                                            prediction=prediction,
-                                            source="batch",
-                                            trace_id=request_id))
+__all__ = ["ServingConfig", "ServingResult", "FloorServingService",
+           "ShardedServingService", "Shard", "ShardedRouter", "shard_index"]
 
 
 @dataclass(frozen=True)
@@ -360,26 +118,436 @@ class ServingResult:
         return self.prediction is not None
 
 
+def shard_index(building_id: str, num_shards: int) -> int:
+    """Stable building → shard assignment (CRC-32, process-independent).
+
+    Python's builtin ``hash`` of a string is salted per process, which would
+    scatter the same building across shards between restarts; CRC-32 keeps
+    the placement deterministic everywhere the same registry is served.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be at least 1")
+    return zlib.crc32(building_id.encode("utf-8")) % num_shards
+
+
+@dataclass
+class _ServePlan:
+    """The locked-phase outcome of one shard's slice of a ``predict_batch``.
+
+    Cache hits are already written into ``results`` when the plan is built;
+    what remains is the per-building engine work, pinned to the *model
+    snapshots* taken under the lock so the computation can run without it.
+    """
+
+    misses: list[tuple[str, object, list[int]]]  # (building, model, positions)
+    keys: dict[int, str]
+    served: int                                  # positions covered (hits + misses)
+
+
+class Shard:
+    """One partition's slice of the serving stack, guarded by its own lock.
+
+    Everything per-building lives here: the registry slice holding the
+    shard's models, the shard's router postings (its buildings' MAC
+    vocabularies), its cache partition, its micro-batch buckets and its
+    telemetry.  All of it is mutated and read under ``self.lock`` only, so
+    traffic, hot swaps and evictions on one shard never contend with any
+    other shard.  Engine computations run *outside* the lock: online
+    inference is mutation-free, so the lock covers only planning (cache
+    lookups, model snapshots) and committing (results, cache fills).
+    """
+
+    def __init__(self, index: int, grafics_config: GraficsConfig,
+                 min_overlap: float, config: ServingConfig,
+                 cache_entries: int,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.index = index
+        self.config = config
+        self.lock = threading.RLock()
+        self.registry = MultiBuildingFloorService(grafics_config,
+                                                  min_overlap=min_overlap)
+        self.router = MacInvertedRouter(min_overlap=min_overlap)
+        self.cache = PredictionCache(max_entries=cache_entries,
+                                     ttl_seconds=config.cache_ttl_seconds,
+                                     clock=clock)
+        self.batcher = MicroBatcher(max_batch_size=config.max_batch_size,
+                                    max_delay_seconds=config.max_delay_seconds,
+                                    clock=clock)
+        self.telemetry = ServingTelemetry(clock=clock)
+        self.completed: list[ServingResult] = []
+
+    @property
+    def building_ids(self) -> list[str]:
+        return self.registry.building_ids
+
+    def stats(self) -> dict[str, object]:
+        """Per-shard gauges for the aggregated telemetry snapshot."""
+        return {
+            "buildings": len(self.registry.building_ids),
+            "queue_depth": self.batcher.pending_count,
+            "cache_entries": len(self.cache),
+            "predictions_total": self.telemetry.counter("predictions_total"),
+            "hot_swaps_total": self.telemetry.counter("hot_swaps_total"),
+        }
+
+    def _still_installed(self, building_id: str, model) -> bool:
+        """Is ``model`` still the installed model of ``building_id``?
+
+        The stale-swap cache guard: predictions computed during the
+        unlocked phase are cached only while their snapshot model is still
+        live — a hot swap or eviction already invalidated the building's
+        entries, and re-inserting a pre-swap prediction would resurrect
+        exactly the staleness the invalidation removed.
+        """
+        try:
+            return self.registry.model_for(building_id) is model
+        except KeyError:
+            return False
+
+    # ------------------------------------------------------ synchronous path
+    def serve(self, records: Sequence[SignalRecord],
+              routed: Sequence[RoutingDecision], positions: Sequence[int],
+              results: list[BuildingPrediction | None],
+              pool: ComputePool | None) -> int:
+        """This shard's slice of a batch: plan → compute → commit.
+
+        The lock covers only the plan and commit phases; the engine
+        computation between them runs unlocked, so cold predicts racing on
+        one shard — or racing its hot swaps — never serialise.  Each miss
+        group is served by the model installed when it was planned (never a
+        mix of two).  Returns the number of positions served.
+        """
+        with self.telemetry.time("request_seconds"):
+            with self.lock:
+                plan = self._plan(records, routed, positions, results)
+            outputs = self._compute(records, plan, pool)
+            with self.lock:
+                self._commit(routed, plan, outputs, results)
+        return plan.served
+
+    def _plan(self, records: Sequence[SignalRecord],
+              routed: Sequence[RoutingDecision], positions: Sequence[int],
+              results: list[BuildingPrediction | None]) -> _ServePlan:
+        """Cache lookups + model snapshots for the slice (lock held)."""
+        config = self.config
+        with obs.span("serving.plan") as plan_span:
+            miss_positions: dict[str, list[int]] = {}
+            keys: dict[int, str] = {}
+            for position in positions:
+                record, decision = records[position], routed[position]
+                if config.enable_cache:
+                    key = fingerprint_key(decision.building_id, record,
+                                          quantum=config.rss_quantum)
+                    keys[position] = key
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        self.telemetry.increment("cache_hits_total")
+                        results[position] = replace(cached,
+                                                    record_id=record.record_id)
+                        continue
+                    self.telemetry.increment("cache_misses_total")
+                miss_positions.setdefault(decision.building_id,
+                                          []).append(position)
+
+            misses = []
+            for building_id, miss in miss_positions.items():
+                try:
+                    model = self.registry.model_for(building_id)
+                except KeyError:
+                    # A building can be evicted between routing and the
+                    # shard lock.  Surface the clean rejection routing a
+                    # vanished building would have produced.
+                    raise UnknownEnvironmentError(
+                        f"building {building_id!r} was evicted between "
+                        "routing and dispatch") from None
+                misses.append((building_id, model, miss))
+            plan_span.set("positions", len(positions))
+            plan_span.set("miss_groups", len(misses))
+            return _ServePlan(misses=misses, keys=keys, served=len(positions))
+
+    def _compute(self, records: Sequence[SignalRecord], plan: _ServePlan,
+                 pool: ComputePool | None) -> list[list]:
+        """Run the planned engine work — *without* the shard lock.
+
+        Returns one prediction list per planned miss group, in plan order.
+        With a ``pool``, each miss group's engine work runs in worker
+        processes against the shipped model snapshot (byte-identical
+        output: ``independent=True`` inference is per-record deterministic
+        and a pickled model predicts exactly like its source).  The
+        ``serve.compute`` failpoint is still evaluated here, in the parent
+        — one hit per call, same process-global counter as the in-process
+        fire — but its effect executes inside the worker computing the
+        first miss group; a slice of pure cache hits counts the hit with no
+        compute left to fault.  The pool records compute timings and batch
+        counters itself, from the workers' own measurements.
+        """
+        with obs.span("serving.compute") as compute_span:
+            if pool is None:
+                directives = None
+                failpoints.fire("serve.compute")
+            else:
+                directives = failpoints.evaluate("serve.compute")
+            outputs = []
+            computed = 0
+            for index, (building_id, model, miss) in enumerate(plan.misses):
+                batch = [records[i] for i in miss]
+                if pool is None:
+                    with self.telemetry.time("batch_seconds"):
+                        floor_predictions = model.predict_batch(
+                            batch, independent=True)
+                    self.telemetry.increment("batches_total")
+                    self.telemetry.increment("batched_records_total",
+                                             len(batch))
+                else:
+                    floor_predictions = pool.compute(
+                        building_id, model, batch,
+                        directives=directives if index == 0 else None)
+                computed += len(batch)
+                outputs.append(floor_predictions)
+            compute_span.set("records", computed)
+            return outputs
+
+    def _commit(self, routed: Sequence[RoutingDecision], plan: _ServePlan,
+                outputs: list[list],
+                results: list[BuildingPrediction | None]) -> None:
+        """Fill results and the cache from computed predictions (lock held).
+
+        Cache fills go through the :meth:`_still_installed` stale-swap
+        guard; the computed predictions themselves are always returned —
+        the request was routed and served by the model that was live when
+        it was planned.
+        """
+        with obs.span("serving.commit"):
+            for (building_id, model, miss), floor_predictions in zip(
+                    plan.misses, outputs):
+                cacheable = (self.config.enable_cache
+                             and self._still_installed(building_id, model))
+                for position, floor_prediction in zip(miss, floor_predictions):
+                    prediction = BuildingPrediction(
+                        record_id=floor_prediction.record_id,
+                        building_id=building_id,
+                        floor=floor_prediction.floor,
+                        mac_overlap=routed[position].overlap,
+                        distance=floor_prediction.distance)
+                    results[position] = prediction
+                    if cacheable:
+                        self.cache.put(plan.keys[position], prediction,
+                                       building_id=building_id)
+            self.telemetry.increment("predictions_total", plan.served)
+
+    # ---------------------------------------------------- micro-batched path
+    def dispatch(self, batch: Batch, pool: ComputePool | None) -> None:
+        """Run one released micro-batch through the engine; buffer results.
+
+        Same locking shape as :meth:`serve`: the caller must *not* hold the
+        lock; it is taken only to snapshot the model and to commit results,
+        while the engine computation in between runs unlocked.  A batch
+        whose building vanished between release and dispatch surfaces as
+        rejected results, exactly as an eviction of the still-queued
+        requests would have; a batch overlapping a hot swap is served
+        wholly by the snapshot model — the building's *current* model at
+        dispatch time, which may post-date the routing decision — and skips
+        the cache fill (the stale-put guard).  If that newer model can no
+        longer attribute the batch's records (their MACs left the
+        vocabulary), the whole batch surfaces as rejected instead of the
+        exception escaping and losing the sibling results.  Results land in
+        ``self.completed``, re-read under the lock on every append because
+        ``poll``/``drain`` swap the list out.
+        """
+        telemetry = self.telemetry
+
+        def reject_all(error: str) -> None:
+            with self.lock:
+                for record, _, _, request_id in batch.items:
+                    telemetry.increment("rejections_total")
+                    self.completed.append(ServingResult(
+                        record_id=record.record_id, prediction=None,
+                        source="rejected", error=error, trace_id=request_id))
+
+        with obs.span("serving.dispatch") as dispatch_span:
+            dispatch_span.set("building", batch.building_id)
+            dispatch_span.set("reason", batch.reason)
+            dispatch_span.set("size", len(batch.items))
+            telemetry.observe("queue_wait_seconds", batch.queued_seconds)
+            with self.lock:
+                try:
+                    model = self.registry.model_for(batch.building_id)
+                except KeyError:
+                    reject_all(f"building {batch.building_id!r} was evicted "
+                               "before the request was dispatched")
+                    return
+            records = [record for record, _, _, _ in batch.items]
+            if pool is None:
+                failpoints.fire("serve.compute", building_id=batch.building_id)
+                try:
+                    with telemetry.time("batch_seconds"):
+                        floor_predictions = model.predict_batch(
+                            records, independent=True)
+                except UnknownEnvironmentError as error:
+                    reject_all(str(error))
+                    return
+                telemetry.increment("batches_total")
+                telemetry.increment("batched_records_total", len(records))
+            else:
+                # The parent decides the serve.compute hit (keeping the
+                # process-global fault counter deterministic); the worker
+                # computing the batch executes it.  A worker dying mid-batch
+                # surfaces as retryable rejections — never a hang — while
+                # the pool respawns the worker underneath.
+                directives = failpoints.evaluate(
+                    "serve.compute", building_id=batch.building_id)
+                try:
+                    floor_predictions = pool.compute(batch.building_id, model,
+                                                     records,
+                                                     directives=directives)
+                except (UnknownEnvironmentError, WorkerCrashError) as error:
+                    reject_all(str(error))
+                    return
+            telemetry.increment(f"batch_flush_{batch.reason}_total")
+            telemetry.increment("predictions_total", len(records))
+            with self.lock:
+                cacheable = (self.config.enable_cache
+                             and self._still_installed(batch.building_id,
+                                                       model))
+                for (record, decision, key, request_id), floor_prediction in \
+                        zip(batch.items, floor_predictions):
+                    prediction = BuildingPrediction(
+                        record_id=floor_prediction.record_id,
+                        building_id=batch.building_id,
+                        floor=floor_prediction.floor,
+                        mac_overlap=decision.overlap,
+                        distance=floor_prediction.distance)
+                    if cacheable and key is not None:
+                        self.cache.put(key, prediction,
+                                       building_id=batch.building_id)
+                    self.completed.append(ServingResult(
+                        record_id=record.record_id, prediction=prediction,
+                        source="batch", trace_id=request_id))
+
+    def collect(self) -> list[ServingResult]:
+        """Hand over the buffered results (the buffer starts afresh)."""
+        with self.lock:
+            completed, self.completed = self.completed, []
+            return completed
+
+
+class ShardedRouter(Router):
+    """Building attribution over per-shard inverted indices.
+
+    Each shard's :class:`MacInvertedRouter` holds postings for that shard's
+    buildings only, tagged with their *global* registration positions, and
+    is read under the shard's lock.  A query takes every shard's
+    :meth:`~MacInvertedRouter.best_candidate` and applies the same rule to
+    those winners, so the result — including the earliest-registered
+    tie-break — is exactly the one-router answer.
+    """
+
+    def __init__(self, shards: Sequence[Shard],
+                 min_overlap: float = 0.1) -> None:
+        super().__init__(min_overlap)
+        self._shards = tuple(shards)
+        self._registration_lock = threading.Lock()
+        self._positions: dict[str, int] = {}
+        self._next_position = 0
+
+    def _shard_for(self, building_id: str) -> Shard:
+        return self._shards[shard_index(building_id, len(self._shards))]
+
+    # -- registry maintenance ------------------------------------------------
+    def add_building(self, building_id: str, vocabulary: Iterable[str]) -> None:
+        shard = self._shard_for(building_id)
+        with self._registration_lock:
+            position = self._positions.get(building_id)
+            if position is None:
+                position = self._positions[building_id] = self._next_position
+                self._next_position += 1
+        with shard.lock:
+            shard.router.add_building(building_id, vocabulary,
+                                      position=position)
+
+    def remove_building(self, building_id: str) -> None:
+        shard = self._shard_for(building_id)
+        with shard.lock:
+            shard.router.remove_building(building_id)
+        with self._registration_lock:
+            del self._positions[building_id]
+
+    @property
+    def building_ids(self) -> list[str]:
+        return sorted(self._positions, key=self._positions.__getitem__)
+
+    def vocabulary_for(self, building_id: str) -> frozenset[str]:
+        return self._shard_for(building_id).router.vocabulary_for(building_id)
+
+    # -- attribution ---------------------------------------------------------
+    def route(self, record: SignalRecord) -> RoutingDecision:
+        macs = self._probe_macs(record, len(self._positions))
+        best_building, best_hits, best_position = None, 0, -1
+        for shard in self._shards:
+            # A shard's postings and positions change together under its
+            # lock, so a building evicted concurrently is either wholly
+            # present in this shard's answer or wholly absent.
+            with shard.lock:
+                building_id, hits, position = shard.router.best_candidate(macs)
+            if hits > best_hits or (hits == best_hits
+                                    and position < best_position):
+                best_building, best_hits, best_position = \
+                    building_id, hits, position
+        best_overlap = best_hits / len(macs)
+        if best_building is None or best_overlap < self.min_overlap:
+            self._reject(record, best_overlap)
+        return RoutingDecision(building_id=best_building, overlap=best_overlap)
+
+
 class FloorServingService:
-    """Production serving stack over a multi-building GRAFICS registry."""
+    """Production serving stack over a multi-building GRAFICS registry.
+
+    ``num_shards`` (default 1) hash-partitions the per-building state
+    across :class:`Shard` objects; predictions are byte-identical for every
+    shard count (test-enforced against the sequential registry reference).
+    What the count changes is operational:
+
+    * every shard serves, swaps and evicts under its *own* lock — a slow
+      building only ever stalls the other buildings of its shard;
+    * the prediction cache is partitioned (``cache_entries`` splits evenly
+      across shards), so invalidations and LRU churn stay shard-local;
+    * telemetry is recorded per shard and aggregated on demand, with
+      per-shard gauges (queue depth, cache size, last-swap shard) in
+      :meth:`telemetry_snapshot`.
+
+    Concurrency semantics: routing reads each shard's postings under that
+    shard's lock, and dispatch locks only the target shard, so a batch
+    spanning shards sees a consistent *per-shard* view rather than one
+    global snapshot — a record routed concurrently with a hot swap is
+    served by either the old or the new model, never a mix of both.
+    """
 
     def __init__(self, registry: MultiBuildingFloorService | None = None,
                  config: ServingConfig | None = None,
                  grafics_config: GraficsConfig | None = None,
+                 num_shards: int = 1,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self.registry = registry or MultiBuildingFloorService(grafics_config)
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        source = registry or MultiBuildingFloorService(grafics_config)
         self.config = config or ServingConfig()
-        self._clock = clock
-        self._lock = threading.RLock()
-        self.router = MacInvertedRouter.from_vocabularies(
-            self.registry.vocabularies, min_overlap=self.registry.min_overlap)
-        self.cache = PredictionCache(max_entries=self.config.cache_entries,
-                                     ttl_seconds=self.config.cache_ttl_seconds,
-                                     clock=clock)
-        self.batcher = MicroBatcher(max_batch_size=self.config.max_batch_size,
-                                    max_delay_seconds=self.config.max_delay_seconds,
-                                    clock=clock)
+        self.num_shards = num_shards
+        self.grafics_config = source.config
+        self.min_overlap = source.min_overlap
+        per_shard_entries = max(1, self.config.cache_entries // num_shards)
+        self.shards = tuple(
+            Shard(index=i, grafics_config=source.config,
+                  min_overlap=source.min_overlap, config=self.config,
+                  cache_entries=per_shard_entries, clock=clock)
+            for i in range(num_shards))
+        self.router = ShardedRouter(self.shards,
+                                    min_overlap=source.min_overlap)
         self.telemetry = ServingTelemetry(clock=clock)
+        # One pool shared by all shards: workers are a host-level resource
+        # (cores), not a per-shard one, and the generation-keyed snapshots
+        # are per building, so shards never collide in a worker's cache.
+        # Pool counters land in the service-level telemetry, which
+        # ``merged_snapshot`` already folds together with the shards'.
         # Only a compute_workers > 0 config pays the worker-process
         # startup cost; the default stays pool-free and byte-identical.
         self.compute_pool: ComputePool | None = None
@@ -387,10 +555,21 @@ class FloorServingService:
             self.compute_pool = ComputePool(
                 self.config.compute_workers, telemetry=self.telemetry,
                 start_method=self.config.compute_start_method)
-        self._completed: list[ServingResult] = []
-        # Deterministic request IDs (no RNG): minted at intake, threaded
-        # through queued items into results and rejection paths.
+        # Results produced outside any shard's dispatch (routing
+        # rejections of re-routed requests, evictions) wait here.
+        self._orphans_lock = threading.Lock()
+        self._orphans: list[ServingResult] = []
+        # Deterministic request IDs (no RNG), minted at the front door so a
+        # request keeps one identity even when re-routed across shards.
         self._request_ids = itertools.count(1)
+        # Partition any pre-trained buildings in *registration order* so the
+        # global tie-break matches the source registry's linear scan.
+        for building_id, vocabulary in source.vocabularies.items():
+            shard = self.shard_for(building_id)
+            shard.registry.install_model(building_id,
+                                         source.model_for(building_id),
+                                         vocabulary=vocabulary)
+            self.router.add_building(building_id, vocabulary)
 
     def close(self) -> None:
         """Release the compute pool's worker processes, if any.
@@ -409,39 +588,33 @@ class FloorServingService:
         self.close()
 
     # ----------------------------------------------------- building lifecycle
-    @property
-    def building_ids(self) -> list[str]:
-        return self.registry.building_ids
+    def shard_for(self, building_id: str) -> Shard:
+        """The shard owning ``building_id`` (stable CRC-32 placement)."""
+        return self.shards[shard_index(building_id, self.num_shards)]
 
     @property
-    def grafics_config(self):
-        """The GRAFICS configuration new and retrained models are built with."""
-        return self.registry.config
+    def building_ids(self) -> list[str]:
+        """Served buildings, in registration (tie-break) order."""
+        return self.router.building_ids
 
     def vocabulary_for(self, building_id: str) -> frozenset[str]:
         """The attribution vocabulary of one trained building."""
-        return self.registry.vocabulary_for(building_id)
+        return self.shard_for(building_id).registry.vocabulary_for(building_id)
 
-    def model_for(self, building_id: str):
+    def model_for(self, building_id: str) -> GRAFICS:
         """The live model of one trained building."""
-        return self.registry.model_for(building_id)
-
-    def export_registry(self) -> MultiBuildingFloorService:
-        """The registry backing this service, for persistence checkpoints.
-
-        Exists so callers (the stream checkpoint, operational tooling) can
-        treat the one-lock and the sharded service uniformly —
-        :meth:`repro.serving.sharding.ShardedServingService.export_registry`
-        materialises the same view from its shards.
-        """
-        return self.registry
+        return self.shard_for(building_id).registry.model_for(building_id)
 
     def fit_building(self, dataset: FingerprintDataset,
                      labels: Mapping[str, int]) -> GRAFICS:
-        """Train a building in place and register it for routing."""
-        with self._lock:
-            model = self.registry.fit_building(dataset, labels)
-            self._register(dataset.building_id)
+        """Train a building on its shard and register it for routing."""
+        shard = self.shard_for(dataset.building_id)
+        with shard.lock:
+            model = shard.registry.fit_building(dataset, labels)
+            self.router.add_building(
+                dataset.building_id,
+                shard.registry.vocabulary_for(dataset.building_id))
+            shard.cache.invalidate_building(dataset.building_id)
             return model
 
     def fit_corpus(self, datasets: Iterable[FingerprintDataset],
@@ -459,43 +632,45 @@ class FloorServingService:
                          vocabulary: Iterable[str] | None = None) -> None:
         """Atomically (re)place a building's model — the hot-swap primitive.
 
-        The registry entry, the router index and the cache are updated under
-        one lock, so a concurrent ``predict`` sees either the old model or
-        the new one, never a mix.  Requests still queued for the building
+        Registry entry, router postings and cache partition are updated
+        under the owning shard's lock, so a concurrent ``predict`` sees
+        either the old model or the new one, never a mix; other shards
+        keep serving throughout.  Requests still queued for the building
         were routed against the old vocabulary; they are re-routed against
-        the new one (and re-queued, dispatched or rejected accordingly).  A
-        batch already released for dispatch when the swap lands is served by
-        the building's model as snapshotted at dispatch time — the same
-        "whichever model was installed when it was planned" semantics as
-        the synchronous path — with records the newer model cannot
-        attribute surfacing as rejected results rather than crashing the
-        dispatch.
+        the new one *after* the shard lock is released (the new vocabulary
+        may send them to a different shard, whose lock must not be taken
+        while this one is held) and re-queued, dispatched or rejected
+        accordingly.  A batch already released for dispatch when the swap
+        lands is served by the building's model as snapshotted at dispatch
+        time, with unattributable records surfacing as rejected results
+        (see :meth:`Shard.dispatch`).
         """
-        # Fired before the lock: a kill here models a process dying on the
-        # way into a swap — the installed model must remain the old one.
+        # Fired before the shard lock: a kill here models a process dying
+        # on the way into a swap — the installed model must remain the old
+        # one and the shard keeps serving.
         failpoints.fire("swap.install", building_id=building_id)
-        full_batches: list[Batch] = []
-        with self._lock:
-            self.registry.install_model(building_id, model,
-                                        vocabulary=vocabulary)
-            self.router.add_building(building_id,
-                                     self.registry.vocabulary_for(building_id))
-            self.cache.invalidate_building(building_id)
-            self.telemetry.increment("hot_swaps_total")
-            evicted = self.batcher.evict(building_id)
-            for record, _, _, request_id in evicted:
-                # Re-routed requests keep their original intake ID so the
-                # eventual result is attributable to the original submit.
-                result, full = self._route_and_enqueue(record,
-                                                       request_id=request_id)
-                if result is not None:
-                    self._completed.append(result)
-                if full is not None:
-                    full_batches.append(full)
+        shard = self.shard_for(building_id)
+        with shard.lock:
+            shard.registry.install_model(building_id, model,
+                                         vocabulary=vocabulary)
+            self.router.add_building(
+                building_id, shard.registry.vocabulary_for(building_id))
+            shard.cache.invalidate_building(building_id)
+            shard.telemetry.increment("hot_swaps_total")
+            self.telemetry.set_gauge("last_swap_shard", shard.index)
+            evicted = shard.batcher.evict(building_id)
         log_event("hot_swap_installed", building_id=building_id,
-                  requeued=len(evicted))
-        for batch in full_batches:
-            self._dispatch(batch)
+                  shard=shard.index, requeued=len(evicted))
+        for record, _, _, request_id in evicted:
+            # Re-routed requests keep their original intake ID so the
+            # eventual result is attributable to the original submit.
+            result, target_shard, full = self._route_and_enqueue(
+                record, request_id=request_id)
+            if result is not None:
+                with self._orphans_lock:
+                    self._orphans.append(result)
+            if full is not None:
+                target_shard.dispatch(full, self.compute_pool)
 
     def load_building(self, building_id: str, path: str | Path) -> GRAFICS:
         """Hot-swap a building from a model saved via the persistence layer."""
@@ -511,34 +686,34 @@ class FloorServingService:
                          sampler_mode: str | None = None) -> GRAFICS:
         """Retrain one building off to the side, then hot-swap it in.
 
-        Training happens on a fresh :class:`GRAFICS` instance, so the live
-        model keeps serving until the replacement is ready.  When
-        ``model_path`` is given the new model is round-tripped through
-        :func:`save_model`/:func:`load_model` (written to a temporary file
-        and atomically renamed), so what goes live is exactly what a later
-        restart would load from disk.  ``warm_start=True`` initialises the
-        embedding from the building's currently installed model (nodes
-        surviving the retrain resume from their learned vectors) — the
-        continuous-learning path, where retrains happen on a sliding window
-        that mostly overlaps the previous one.  ``kernel`` optionally selects
-        the training kernel for this retrain (``"fused"`` halves fit time;
-        the model records the kernel, so its online path keeps using it);
-        ``sampler_mode`` likewise selects the cold-path negative-sampler
-        mode (``"delta"`` skips the per-predict O(V) alias rebuild) for the
-        installed model's serving traffic.
+        Training holds no lock at all — only the final install takes the
+        owning shard's lock — so the live model keeps serving until the
+        replacement is ready.  When ``model_path`` is given the new model
+        is round-tripped through the persistence layer (written to a
+        temporary file and atomically renamed, then reloaded), so what goes
+        live is exactly what a later restart would load from disk.
+        ``warm_start=True`` initialises the embedding from the building's
+        currently installed model (nodes surviving the retrain resume from
+        their learned vectors) — the continuous-learning path, where
+        retrains happen on a sliding window that mostly overlaps the
+        previous one.  ``kernel`` optionally selects the training kernel
+        for this retrain (``"fused"`` halves fit time; the model records
+        the kernel, so its online path keeps using it); ``sampler_mode``
+        likewise selects the cold-path negative-sampler mode (``"delta"``
+        skips the per-predict O(V) alias rebuild) for the installed model's
+        serving traffic.
         """
         previous_embedding = None
-        if warm_start and dataset.building_id in self.registry.building_ids:
-            previous_embedding = self.registry.model_for(
-                dataset.building_id).embedding
+        if warm_start:
+            try:
+                previous_embedding = self.model_for(
+                    dataset.building_id).embedding
+            except KeyError:
+                previous_embedding = None
         with self.telemetry.time("retrain_seconds"):
-            model = GRAFICS(self.registry.config)
-            model.fit(dataset, labels, warm_start=previous_embedding,
-                      kernel=kernel, sampler_mode=sampler_mode)
-            if model_path is not None:
-                model_path = Path(model_path)
-                _atomic_save_model(model, model_path)
-                model = load_model(model_path)
+            model = fit_model(self.grafics_config, dataset, labels,
+                              warm_start=previous_embedding, kernel=kernel,
+                              sampler_mode=sampler_mode, model_path=model_path)
         self.install_building(dataset.building_id, model,
                               vocabulary=frozenset(dataset.macs))
         return model
@@ -550,112 +725,116 @@ class FloorServingService:
         they surface from the next :meth:`poll`/:meth:`drain` as rejected
         results rather than crashing the dispatch or vanishing.
         """
-        with self._lock:
-            self.registry.remove_building(building_id)
+        shard = self.shard_for(building_id)
+        with shard.lock:
+            shard.registry.remove_building(building_id)
             self.router.remove_building(building_id)
-            self.cache.invalidate_building(building_id)
-            for record, _, _, request_id in self.batcher.evict(building_id):
-                self.telemetry.increment("rejections_total")
-                self._completed.append(ServingResult(
+            shard.cache.invalidate_building(building_id)
+            evicted = shard.batcher.evict(building_id)
+        for record, _, _, request_id in evicted:
+            self.telemetry.increment("rejections_total")
+            with self._orphans_lock:
+                self._orphans.append(ServingResult(
                     record_id=record.record_id, prediction=None,
                     source="rejected",
                     error=f"building {building_id!r} was evicted before the "
                           "request was dispatched",
                     trace_id=request_id))
 
-    def _register(self, building_id: str) -> None:
-        self.router.add_building(building_id,
-                                 self.registry.vocabulary_for(building_id))
-        self.cache.invalidate_building(building_id)
+    def export_registry(self) -> MultiBuildingFloorService:
+        """All shards' models as one registry, in global registration order.
+
+        The persistence view of the service (stream checkpoints, tooling).
+        The result round-trips through ``save_registry``/``load_registry``
+        unchanged — reconstructing a service from it reproduces both the
+        shard placement (stable hash of the building id) and the
+        attribution tie-break (registration order is preserved).
+        """
+        merged = MultiBuildingFloorService(self.grafics_config,
+                                           min_overlap=self.min_overlap)
+        for building_id in self.router.building_ids:
+            shard = self.shard_for(building_id)
+            with shard.lock:
+                merged.install_model(
+                    building_id, shard.registry.model_for(building_id),
+                    vocabulary=shard.registry.vocabulary_for(building_id))
+        return merged
 
     # ------------------------------------------------------ synchronous path
     def predict(self, record: SignalRecord) -> BuildingPrediction:
         """Route, consult the cache and predict one sample synchronously."""
         return self.predict_batch([record])[0]
 
-    def predict_batch(self, records: Sequence[SignalRecord]) -> list[BuildingPrediction]:
-        """Predict several samples, grouped per attributed building.
+    def predict_batch(self,
+                      records: Sequence[SignalRecord]) -> list[BuildingPrediction]:
+        """Predict several samples, grouped per shard then per building.
 
         Every prediction actually computed is identical to the sequential
         ``MultiBuildingFloorService.predict`` reference path, in input
-        order; with the cache enabled, a record whose *quantised* fingerprint
-        (RSS rounded to ``rss_quantum``) matches a cached entry is served
-        that entry instead of being recomputed — exact re-submissions always
-        get the identical prediction, while records differing only by
-        sub-quantum RSS noise deliberately share one.  Set
-        ``enable_cache=False`` (or shrink ``rss_quantum``) for strict
+        order; with the cache enabled, a record whose *quantised*
+        fingerprint (RSS rounded to ``rss_quantum``) matches a cached entry
+        is served that entry instead of being recomputed — exact
+        re-submissions always get the identical prediction, while records
+        differing only by sub-quantum RSS noise deliberately share one.
+        Set ``enable_cache=False`` (or shrink ``rss_quantum``) for strict
         per-record recomputation.  Raises :class:`UnknownEnvironmentError`
-        on the first record that cannot be attributed, mirroring the
-        reference.
+        on the first record that cannot be attributed, before any
+        prediction is computed, mirroring the reference.
 
-        Locking: routing and cache lookups hold the service lock, the
-        engine computation does not (online inference is mutation-free), so
-        concurrent cold predictions proceed in parallel and never stall
-        swaps or evictions.  A request overlapping a hot swap is served
-        entirely by whichever model was installed when it was planned.
+        A refused call counts each of its records exactly once: records
+        already served as predictions, every other one as a rejection.
         """
         records = list(records)
-        with self.telemetry.time("request_seconds"), \
-                obs.span("serving.request") as request_span:
+        self.telemetry.increment("requests_total", len(records))
+        results: list[BuildingPrediction | None] = [None] * len(records)
+        served = 0
+        with obs.span("serving.request") as request_span:
             request_span.set("records", len(records))
-            results: list[BuildingPrediction | None] = [None] * len(records)
-            with self._lock:
-                self.telemetry.increment("requests_total", len(records))
-                routed = []
+            try:
                 with obs.span("serving.route"):
-                    for record in records:
-                        try:
-                            routed.append(self.router.route(record))
-                        except UnknownEnvironmentError:
-                            self.telemetry.increment("rejections_total")
-                            raise
-                plan = _plan_positions(records, routed, range(len(records)),
-                                       registry=self.registry,
-                                       cache=self.cache,
-                                       telemetry=self.telemetry,
-                                       config=self.config, results=results)
-            # Engine work runs without the lock: cold predictions are
-            # mutation-free, so they neither need the write lock nor bump
-            # the model graph's version, and concurrent cold traffic on
-            # this service no longer serialises behind the cache/batcher
-            # bookkeeping.  Each miss group is served by the model that
-            # was installed when it was planned (never a mix of two).
-            outputs = _compute_plan(records, plan, telemetry=self.telemetry,
-                                    pool=self.compute_pool)
-            with self._lock:
-                _commit_plan(routed, plan, outputs, registry=self.registry,
-                             cache=self.cache, telemetry=self.telemetry,
-                             config=self.config, results=results)
-            return results
+                    routed = [self.router.route(record) for record in records]
+                by_shard: dict[int, list[int]] = {}
+                for position, decision in enumerate(routed):
+                    index = shard_index(decision.building_id, self.num_shards)
+                    by_shard.setdefault(index, []).append(position)
+                for index, positions in by_shard.items():
+                    served += self.shards[index].serve(
+                        records, routed, positions, results, self.compute_pool)
+            except BaseException:
+                self.telemetry.increment("rejections_total",
+                                         len(records) - served)
+                raise
+        return results
 
     # ---------------------------------------------------- micro-batched path
     def submit(self, record: SignalRecord) -> ServingResult | None:
-        """Submit one request to the micro-batching intake.
+        """Submit one request to the owning shard's micro-batching intake.
 
         Returns immediately with a :class:`ServingResult` when the request
         is served from cache or rejected; returns ``None`` when it was
         queued (its result will surface from :meth:`poll` or
-        :meth:`drain`).  A size-triggered batch is dispatched inline —
-        with the lock released during the engine computation, like the
-        synchronous path, so a full batch never stalls other intake.
+        :meth:`drain`).  A size-triggered batch is dispatched inline with
+        the shard lock released during the engine computation, mirroring
+        the synchronous path: a full batch on one shard stalls neither that
+        shard's other intake nor any other shard.
         """
-        with self._lock:
-            self.telemetry.increment("requests_total")
-            result, full = self._route_and_enqueue(record)
+        self.telemetry.increment("requests_total")
+        result, shard, full = self._route_and_enqueue(record)
         if full is not None:
-            self._dispatch(full)
+            shard.dispatch(full, self.compute_pool)
         return result
 
     def _route_and_enqueue(
             self, record: SignalRecord, request_id: str | None = None,
-    ) -> tuple[ServingResult | None, Batch | None]:
-        """Route one record through cache/batcher (lock held by caller).
+    ) -> tuple[ServingResult | None, Shard | None, Batch | None]:
+        """Route one record into its shard's cache/batcher.
 
-        Returns ``(result, full_batch)``: a result when the record was
-        served from cache or rejected, and/or the batch its enqueue filled
-        — which the caller must dispatch *after* releasing the lock.  A
-        fresh request ID is minted unless the caller passes the one a
-        previous intake already assigned (the hot-swap re-route path).
+        Returns ``(result, shard, full_batch)``: a result when the record
+        was served from cache or rejected, and/or the batch its enqueue
+        filled — which the caller must dispatch *without* holding the shard
+        lock.  A fresh request ID is minted unless the caller passes the
+        one a previous intake already assigned (the hot-swap re-route
+        path).
         """
         if request_id is None:
             request_id = f"req{next(self._request_ids):06d}"
@@ -666,68 +845,87 @@ class FloorServingService:
             return ServingResult(record_id=record.record_id,
                                  prediction=None, source="rejected",
                                  error=str(error),
-                                 trace_id=request_id), None
-
-        key = None
-        if self.config.enable_cache:
-            key = fingerprint_key(decision.building_id, record,
-                                  quantum=self.config.rss_quantum)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.telemetry.increment("cache_hits_total")
-                self.telemetry.increment("predictions_total")
-                return ServingResult(
-                    record_id=record.record_id,
-                    prediction=replace(cached, record_id=record.record_id),
-                    source="cache", trace_id=request_id), None
-            self.telemetry.increment("cache_misses_total")
-
-        full = self.batcher.enqueue(decision.building_id,
-                                    (record, decision, key, request_id))
-        return None, full
+                                 trace_id=request_id), None, None
+        shard = self.shard_for(decision.building_id)
+        with shard.lock:
+            key = None
+            if self.config.enable_cache:
+                key = fingerprint_key(decision.building_id, record,
+                                      quantum=self.config.rss_quantum)
+                cached = shard.cache.get(key)
+                if cached is not None:
+                    shard.telemetry.increment("cache_hits_total")
+                    shard.telemetry.increment("predictions_total")
+                    return ServingResult(
+                        record_id=record.record_id,
+                        prediction=replace(cached,
+                                           record_id=record.record_id),
+                        source="cache", trace_id=request_id), shard, None
+                shard.telemetry.increment("cache_misses_total")
+            full = shard.batcher.enqueue(decision.building_id,
+                                         (record, decision, key, request_id))
+        return None, shard, full
 
     def poll(self) -> list[ServingResult]:
-        """Dispatch deadline-expired batches and collect finished results."""
-        with self._lock:
-            due = list(self.batcher.due())
-        for batch in due:
-            self._dispatch(batch)
-        with self._lock:
-            completed, self._completed = self._completed, []
-            return completed
+        """Dispatch deadline-expired batches on every shard; collect results."""
+        return self._flush(MicroBatcher.due)
 
     def drain(self) -> list[ServingResult]:
-        """Flush every pending batch and collect all finished results."""
-        with self._lock:
-            pending = list(self.batcher.drain())
-        for batch in pending:
-            self._dispatch(batch)
-        with self._lock:
-            completed, self._completed = self._completed, []
-            return completed
+        """Flush every shard's pending batches; collect all results."""
+        return self._flush(MicroBatcher.drain)
+
+    def _flush(self, release: Callable[[MicroBatcher], Iterable[Batch]],
+               ) -> list[ServingResult]:
+        with self._orphans_lock:
+            completed, self._orphans = self._orphans, []
+        for shard in self.shards:
+            with shard.lock:
+                released = list(release(shard.batcher))
+            for batch in released:
+                shard.dispatch(batch, self.compute_pool)
+            completed.extend(shard.collect())
+        return completed
 
     @property
     def pending_count(self) -> int:
-        return self.batcher.pending_count
-
-    def _dispatch(self, batch: Batch) -> None:
-        """Three-phase dispatch of a released batch (must not hold the lock)."""
-        # The buffer callback re-reads ``self._completed`` on every call
-        # (under the lock): ``poll``/``drain`` swap the list out, and a
-        # result committed after a swap must land in the *new* buffer.
-        _dispatch_batch(batch, lock=self._lock, registry=self.registry,
-                        cache=self.cache, telemetry=self.telemetry,
-                        config=self.config,
-                        buffer_result=lambda r: self._completed.append(r),
-                        pool=self.compute_pool)
+        return sum(shard.batcher.pending_count for shard in self.shards)
 
     # ---------------------------------------------------------- observability
     def telemetry_snapshot(self) -> dict[str, object]:
-        """Telemetry counters/latencies plus cache and batcher gauges."""
-        snapshot = self.telemetry.snapshot()
-        snapshot["cache"] = self.cache.stats()
-        snapshot["pending"] = self.batcher.pending_by_building()
-        snapshot["buildings"] = len(self.registry.building_ids)
+        """Aggregated counters/latencies plus cache, batcher and shard gauges.
+
+        Counters are the *sum* over shards plus the service-level ones
+        (requests, rejections), so ``predictions_total`` always equals
+        requests minus rejections minus still-pending work, no matter which
+        shard served what.
+        """
+        for shard in self.shards:
+            self.telemetry.set_gauge(f"shard{shard.index}_queue_depth",
+                                     shard.batcher.pending_count)
+            self.telemetry.set_gauge(f"shard{shard.index}_cache_entries",
+                                     len(shard.cache))
+        snapshot = self.telemetry.merged_snapshot(
+            shard.telemetry for shard in self.shards)
+        cache_stats: dict[str, float | int] = {}
+        for shard in self.shards:
+            for name, value in shard.cache.stats().items():
+                cache_stats[name] = cache_stats.get(name, 0) + value
+        lookups = cache_stats["hits"] + cache_stats["misses"]
+        cache_stats["hit_rate"] = round(
+            cache_stats["hits"] / lookups, 4) if lookups else 0.0
+        snapshot["cache"] = cache_stats
+        pending: dict[str, int] = {}
+        for shard in self.shards:
+            pending.update(shard.batcher.pending_by_building())
+        snapshot["pending"] = pending
+        snapshot["buildings"] = len(self.building_ids)
+        snapshot["shards"] = {str(shard.index): shard.stats()
+                              for shard in self.shards}
         if self.compute_pool is not None:
             snapshot["compute_pool"] = self.compute_pool.stats()
         return snapshot
+
+
+#: The historical name of the partitioned service: the same class object
+#: (``num_shards`` selects the partitioning), not a subclass or a wrapper.
+ShardedServingService = FloorServingService

@@ -1,616 +1,14 @@
-"""Partitioned serving: per-building state sharded behind per-shard locks.
+"""Partitioned serving: the names of the sharded serving stack.
 
-:class:`FloorServingService` guards its entire stack — registry, router,
-cache, batcher — with one ``threading.RLock``, so any slow operation on one
-building (a large batch, a hot swap, a model load) stalls every other
-building's traffic.  The paper's system is a *per-building* model family,
-which makes the building the natural unit of partitioning: this module
-splits the stack into :class:`Shard` objects, each owning its own lock,
-registry slice, cache partition, router postings and telemetry, and
-composes them behind :class:`ShardedServingService` — the same public
-surface as the one-lock service, with predictions byte-identical to it
-(test-enforced).
-
-Attribution stays global: :class:`ShardedRouter` collects per-shard
-candidate hit counts (``MacInvertedRouter.candidate_hits``) and runs the
-selection rule over their union with a *global* registration-order
-tie-break, so a record lands on exactly the building the one-lock
-``MacInvertedRouter`` — and therefore the registry's reference linear scan
-— would pick.
-
-Buildings are assigned to shards by a stable hash (CRC-32 of the building
-id), so the placement survives restarts and is identical on every node of
-a scaled-out deployment.
+The service itself lives in :mod:`repro.serving.service`:
+:class:`ShardedServingService` is :class:`FloorServingService` — one class,
+partitioned across ``num_shards`` :class:`Shard` objects (default 1) behind
+the global-tie-break :class:`ShardedRouter`.  This module re-exports the
+partitioning names under their historical import path.
 """
 
-from __future__ import annotations
+from .cache import fingerprint_key
+from .service import Shard, ShardedRouter, ShardedServingService, shard_index
 
-import itertools
-import threading
-import time
-import zlib
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import replace
-from pathlib import Path
-
-from ..core.inference import UnknownEnvironmentError
-from ..core.persistence import _atomic_save_model, load_model
-from ..core.pipeline import GRAFICS, GraficsConfig
-from ..core.registry import BuildingPrediction, MultiBuildingFloorService
-from ..core.types import FingerprintDataset, SignalRecord
-from ..faults import failpoints
-from ..obs.log import log_event
-from .batcher import Batch, MicroBatcher
-from .cache import PredictionCache, fingerprint_key
-from .pool import ComputePool
-from .router import MacInvertedRouter, Router, RoutingDecision
-from .service import (
-    ServingConfig,
-    ServingResult,
-    _commit_plan,
-    _compute_plan,
-    _dispatch_batch,
-    _plan_positions,
-)
-from .telemetry import ServingTelemetry
-
-__all__ = ["shard_index", "Shard", "ShardedRouter", "ShardedServingService"]
-
-
-def shard_index(building_id: str, num_shards: int) -> int:
-    """Stable building → shard assignment (CRC-32, process-independent).
-
-    Python's builtin ``hash`` of a string is salted per process, which would
-    scatter the same building across shards between restarts; CRC-32 keeps
-    the placement deterministic everywhere the same registry is served.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be at least 1")
-    return zlib.crc32(building_id.encode("utf-8")) % num_shards
-
-
-class Shard:
-    """One partition's slice of the serving stack, guarded by its own lock.
-
-    Everything per-building lives here: the registry slice holding the
-    shard's models, the shard's router postings (its buildings' MAC
-    vocabularies), its cache partition, its micro-batch buckets and its
-    telemetry.  All of it is mutated and read under ``self.lock`` only, so
-    traffic, hot swaps and evictions on one shard never contend with any
-    other shard.
-    """
-
-    def __init__(self, index: int, grafics_config: GraficsConfig,
-                 min_overlap: float, config: ServingConfig,
-                 cache_entries: int,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.index = index
-        self.lock = threading.RLock()
-        self.registry = MultiBuildingFloorService(grafics_config,
-                                                  min_overlap=min_overlap)
-        self.router = MacInvertedRouter(min_overlap=min_overlap)
-        self.cache = PredictionCache(max_entries=cache_entries,
-                                     ttl_seconds=config.cache_ttl_seconds,
-                                     clock=clock)
-        self.batcher = MicroBatcher(max_batch_size=config.max_batch_size,
-                                    max_delay_seconds=config.max_delay_seconds,
-                                    clock=clock)
-        self.telemetry = ServingTelemetry(clock=clock)
-        self.completed: list[ServingResult] = []
-
-    @property
-    def building_ids(self) -> list[str]:
-        return self.registry.building_ids
-
-    def stats(self) -> dict[str, object]:
-        """Per-shard gauges for the aggregated telemetry snapshot."""
-        return {
-            "buildings": len(self.registry.building_ids),
-            "queue_depth": self.batcher.pending_count,
-            "cache_entries": len(self.cache),
-            "predictions_total": self.telemetry.counter("predictions_total"),
-            "hot_swaps_total": self.telemetry.counter("hot_swaps_total"),
-        }
-
-
-class ShardedRouter(Router):
-    """Building attribution over per-shard inverted indices.
-
-    Each shard's :class:`MacInvertedRouter` holds postings for that shard's
-    buildings only and is read under the shard's lock; a query collects
-    candidate hit counts from every shard and applies
-    :meth:`MacInvertedRouter.select_best` over the union with this router's
-    *global* position map, so the winner — including the earliest-registered
-    tie-break — is exactly the one-router answer.
-    """
-
-    def __init__(self, shards: Sequence[Shard],
-                 min_overlap: float = 0.1) -> None:
-        super().__init__(min_overlap)
-        self._shards = tuple(shards)
-        self._registration_lock = threading.Lock()
-        self._positions: dict[str, int] = {}
-        self._next_position = 0
-
-    def _shard_for(self, building_id: str) -> Shard:
-        return self._shards[shard_index(building_id, len(self._shards))]
-
-    # -- registry maintenance ------------------------------------------------
-    def add_building(self, building_id: str, vocabulary: Iterable[str]) -> None:
-        shard = self._shard_for(building_id)
-        with self._registration_lock:
-            if building_id not in self._positions:
-                self._positions[building_id] = self._next_position
-                self._next_position += 1
-        with shard.lock:
-            shard.router.add_building(building_id, vocabulary)
-
-    def remove_building(self, building_id: str) -> None:
-        shard = self._shard_for(building_id)
-        with shard.lock:
-            shard.router.remove_building(building_id)
-        with self._registration_lock:
-            del self._positions[building_id]
-
-    @property
-    def building_ids(self) -> list[str]:
-        return sorted(self._positions, key=self._positions.__getitem__)
-
-    def vocabulary_for(self, building_id: str) -> frozenset[str]:
-        return self._shard_for(building_id).router.vocabulary_for(building_id)
-
-    # -- attribution ---------------------------------------------------------
-    def route(self, record: SignalRecord) -> RoutingDecision:
-        macs = self._probe_macs(record, len(self._positions))
-        hits: dict[str, int] = {}
-        for shard in self._shards:
-            with shard.lock:
-                hits.update(shard.router.candidate_hits(macs))
-        # Selection runs against a position *snapshot*: a building evicted
-        # between the shard sweeps and here has no position left — it could
-        # not have been served either, so it drops out of the tally instead
-        # of blowing up the lookup mid-selection.
-        with self._registration_lock:
-            positions = dict(self._positions)
-        hits = {building_id: count for building_id, count in hits.items()
-                if building_id in positions}
-        best_building, best_hits = MacInvertedRouter.select_best(hits,
-                                                                 positions)
-        best_overlap = best_hits / len(macs)
-        if best_building is None or best_overlap < self.min_overlap:
-            self._reject(record, best_overlap)
-        return RoutingDecision(building_id=best_building, overlap=best_overlap)
-
-
-class ShardedServingService:
-    """The one-lock serving façade, hash-partitioned across N shards.
-
-    Drop-in for :class:`FloorServingService`: same methods, same prediction
-    values (byte-identical, test-enforced), same ``ServingResult`` surface
-    on the micro-batched path.  The differences are operational:
-
-    * every shard serves, swaps and evicts under its *own* lock — a slow
-      building only ever stalls the other buildings of its shard;
-    * the prediction cache is partitioned (``cache_entries`` splits evenly
-      across shards), so invalidations and LRU churn stay shard-local;
-    * telemetry is recorded per shard and aggregated on demand, with
-      per-shard gauges (queue depth, cache size, last-swap shard) in
-      :meth:`telemetry_snapshot`.
-
-    Concurrency semantics: routing reads each shard's postings under that
-    shard's lock, and dispatch locks only the target shard, so a batch
-    spanning shards sees a consistent *per-shard* view rather than one
-    global snapshot — a record routed concurrently with a hot swap is
-    served by either the old or the new model, never a mix of both.
-    """
-
-    def __init__(self, registry: MultiBuildingFloorService | None = None,
-                 config: ServingConfig | None = None,
-                 grafics_config: GraficsConfig | None = None,
-                 num_shards: int = 4,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        source = registry or MultiBuildingFloorService(grafics_config)
-        self.config = config or ServingConfig()
-        self.num_shards = num_shards
-        self.grafics_config = source.config
-        self.min_overlap = source.min_overlap
-        self._clock = clock
-        per_shard_entries = max(1, self.config.cache_entries // num_shards)
-        self.shards = tuple(
-            Shard(index=i, grafics_config=source.config,
-                  min_overlap=source.min_overlap, config=self.config,
-                  cache_entries=per_shard_entries, clock=clock)
-            for i in range(num_shards))
-        self.router = ShardedRouter(self.shards,
-                                    min_overlap=source.min_overlap)
-        self.telemetry = ServingTelemetry(clock=clock)
-        # One pool shared by all shards: workers are a host-level resource
-        # (cores), not a per-shard one, and the generation-keyed snapshots
-        # are per building, so shards never collide in a worker's cache.
-        # Pool counters land in the service-level telemetry, which
-        # ``merged_snapshot`` already folds together with the shards'.
-        self.compute_pool: ComputePool | None = None
-        if self.config.compute_workers > 0:
-            self.compute_pool = ComputePool(
-                self.config.compute_workers, telemetry=self.telemetry,
-                start_method=self.config.compute_start_method)
-        self._orphans_lock = threading.Lock()
-        self._orphans: list[ServingResult] = []
-        # Deterministic request IDs, minted at the sharded front door so a
-        # request keeps one identity even when re-routed across shards.
-        self._request_ids = itertools.count(1)
-        # Partition any pre-trained buildings in *registration order* so the
-        # global tie-break matches the source registry's linear scan.
-        for building_id, vocabulary in source.vocabularies.items():
-            shard = self.shard_for(building_id)
-            shard.registry.install_model(building_id,
-                                         source.model_for(building_id),
-                                         vocabulary=vocabulary)
-            self.router.add_building(building_id, vocabulary)
-
-    def close(self) -> None:
-        """Release the shared compute pool's worker processes, if any."""
-        if self.compute_pool is not None:
-            self.compute_pool.close()
-
-    def __enter__(self) -> "ShardedServingService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ----------------------------------------------------- building lifecycle
-    def shard_for(self, building_id: str) -> Shard:
-        """The shard owning ``building_id`` (stable CRC-32 placement)."""
-        return self.shards[shard_index(building_id, self.num_shards)]
-
-    @property
-    def building_ids(self) -> list[str]:
-        return sorted(building_id for shard in self.shards
-                      for building_id in shard.registry.building_ids)
-
-    def vocabulary_for(self, building_id: str) -> frozenset[str]:
-        return self.shard_for(building_id).registry.vocabulary_for(building_id)
-
-    def model_for(self, building_id: str) -> GRAFICS:
-        return self.shard_for(building_id).registry.model_for(building_id)
-
-    def fit_building(self, dataset: FingerprintDataset,
-                     labels: Mapping[str, int]) -> GRAFICS:
-        """Train a building on its shard and register it for routing."""
-        shard = self.shard_for(dataset.building_id)
-        with shard.lock:
-            model = shard.registry.fit_building(dataset, labels)
-            self.router.add_building(
-                dataset.building_id,
-                shard.registry.vocabulary_for(dataset.building_id))
-            shard.cache.invalidate_building(dataset.building_id)
-            return model
-
-    def fit_corpus(self, datasets: Iterable[FingerprintDataset],
-                   labels_by_building: Mapping[str, Mapping[str, int]]) -> None:
-        for dataset in datasets:
-            try:
-                labels = labels_by_building[dataset.building_id]
-            except KeyError:
-                raise ValueError(
-                    f"no labels provided for building {dataset.building_id!r}"
-                ) from None
-            self.fit_building(dataset, labels)
-
-    def install_building(self, building_id: str, model: GRAFICS,
-                         vocabulary: Iterable[str] | None = None) -> None:
-        """Atomically (re)place a building's model on its shard.
-
-        Registry entry, router postings and cache partition are updated
-        under the owning shard's lock; other shards keep serving
-        throughout.  Requests still queued for the building are re-routed
-        against the new vocabulary *after* the shard lock is released —
-        the new vocabulary may send them to a different shard, whose lock
-        must not be taken while this one is held.  A batch already released
-        for dispatch when the swap lands is served by the building's model
-        as snapshotted at dispatch time, with unattributable records
-        surfacing as rejected results (see ``_dispatch_batch``).
-        """
-        # Same placement as the one-lock service: before the shard lock, so
-        # a kill here leaves the old model installed and the shard serving.
-        failpoints.fire("swap.install", building_id=building_id)
-        shard = self.shard_for(building_id)
-        with shard.lock:
-            shard.registry.install_model(building_id, model,
-                                         vocabulary=vocabulary)
-            self.router.add_building(
-                building_id, shard.registry.vocabulary_for(building_id))
-            shard.cache.invalidate_building(building_id)
-            shard.telemetry.increment("hot_swaps_total")
-            self.telemetry.set_gauge("last_swap_shard", shard.index)
-            evicted = shard.batcher.evict(building_id)
-        log_event("hot_swap_installed", building_id=building_id,
-                  shard=shard.index, requeued=len(evicted))
-        for record, _, _, request_id in evicted:
-            result, target_shard, full = self._route_and_enqueue(
-                record, request_id=request_id)
-            if result is not None:
-                with self._orphans_lock:
-                    self._orphans.append(result)
-            if full is not None:
-                self._dispatch(target_shard, full)
-
-    def load_building(self, building_id: str, path: str | Path) -> GRAFICS:
-        """Hot-swap a building from a model saved via the persistence layer."""
-        model = load_model(path)
-        self.install_building(building_id, model)
-        return model
-
-    def retrain_building(self, dataset: FingerprintDataset,
-                         labels: Mapping[str, int],
-                         model_path: str | Path | None = None,
-                         warm_start: bool = False,
-                         kernel: str | None = None,
-                         sampler_mode: str | None = None) -> GRAFICS:
-        """Retrain one building off to the side, then hot-swap its shard.
-
-        Training holds no lock at all — only the final install takes the
-        owning shard's lock — so even the building's own shard keeps
-        serving its other buildings while the replacement trains.
-        ``kernel`` and ``sampler_mode`` optionally select the training
-        kernel and the cold-path negative-sampler mode for this retrain,
-        mirroring :meth:`FloorServingService.retrain_building`.
-        """
-        previous_embedding = None
-        if warm_start:
-            try:
-                previous_embedding = self.model_for(
-                    dataset.building_id).embedding
-            except KeyError:
-                previous_embedding = None
-        with self.telemetry.time("retrain_seconds"):
-            model = GRAFICS(self.grafics_config)
-            model.fit(dataset, labels, warm_start=previous_embedding,
-                      kernel=kernel, sampler_mode=sampler_mode)
-            if model_path is not None:
-                model_path = Path(model_path)
-                _atomic_save_model(model, model_path)
-                model = load_model(model_path)
-        self.install_building(dataset.building_id, model,
-                              vocabulary=frozenset(dataset.macs))
-        return model
-
-    def evict_building(self, building_id: str) -> None:
-        """Remove a building from serving; queued requests surface rejected."""
-        shard = self.shard_for(building_id)
-        with shard.lock:
-            shard.registry.remove_building(building_id)
-            self.router.remove_building(building_id)
-            shard.cache.invalidate_building(building_id)
-            evicted = shard.batcher.evict(building_id)
-        for record, _, _, request_id in evicted:
-            self.telemetry.increment("rejections_total")
-            with self._orphans_lock:
-                self._orphans.append(ServingResult(
-                    record_id=record.record_id, prediction=None,
-                    source="rejected",
-                    error=f"building {building_id!r} was evicted before the "
-                          "request was dispatched",
-                    trace_id=request_id))
-
-    def export_registry(self) -> MultiBuildingFloorService:
-        """All shards' models as one registry, in global registration order.
-
-        The result round-trips through ``save_registry``/``load_registry``
-        unchanged — reconstructing a sharded service from it reproduces both
-        the shard placement (stable hash of the building id) and the
-        attribution tie-break (registration order is preserved).
-        """
-        merged = MultiBuildingFloorService(self.grafics_config,
-                                           min_overlap=self.min_overlap)
-        for building_id in self.router.building_ids:
-            shard = self.shard_for(building_id)
-            with shard.lock:
-                merged.install_model(
-                    building_id, shard.registry.model_for(building_id),
-                    vocabulary=shard.registry.vocabulary_for(building_id))
-        return merged
-
-    # ------------------------------------------------------ synchronous path
-    def predict(self, record: SignalRecord) -> BuildingPrediction:
-        """Route, consult the shard's cache and predict one sample."""
-        return self.predict_batch([record])[0]
-
-    def predict_batch(self,
-                      records: Sequence[SignalRecord]) -> list[BuildingPrediction]:
-        """Predict several samples, grouped per shard then per building.
-
-        Values are identical to :meth:`FloorServingService.predict_batch`
-        (and therefore to the sequential registry reference): per-record
-        incremental embedding is deterministic and independent of batch
-        composition, and the global-tie-break router attributes each record
-        to the same building.  Raises :class:`UnknownEnvironmentError` on
-        the first record that cannot be attributed, before any prediction
-        is computed, mirroring the reference.
-        """
-        records = list(records)
-        self.telemetry.increment("requests_total", len(records))
-        routed = []
-        for record in records:
-            try:
-                routed.append(self.router.route(record))
-            except UnknownEnvironmentError:
-                self.telemetry.increment("rejections_total")
-                raise
-
-        results: list[BuildingPrediction | None] = [None] * len(records)
-        by_shard: dict[int, list[int]] = {}
-        for position, decision in enumerate(routed):
-            index = shard_index(decision.building_id, self.num_shards)
-            by_shard.setdefault(index, []).append(position)
-        for index, positions in by_shard.items():
-            shard = self.shards[index]
-            with shard.telemetry.time("request_seconds"):
-                self._predict_on_shard(shard, records, routed, positions,
-                                       results)
-        return results
-
-    def _predict_on_shard(self, shard: Shard,
-                          records: Sequence[SignalRecord],
-                          routed: Sequence[RoutingDecision],
-                          positions: Sequence[int],
-                          results: list[BuildingPrediction | None]) -> None:
-        """One shard's slice through the shared synchronous serving core.
-
-        The shard lock covers only the plan (cache lookups, model
-        snapshots) and commit (cache fills) phases; the engine computation
-        between them is mutation-free and runs unlocked, so cold predicts
-        racing on one shard — or racing that shard's hot swaps — no longer
-        serialise.
-        """
-        with shard.lock:
-            plan = _plan_positions(records, routed, positions,
-                                   registry=shard.registry, cache=shard.cache,
-                                   telemetry=shard.telemetry,
-                                   config=self.config, results=results)
-        outputs = _compute_plan(records, plan, telemetry=shard.telemetry,
-                                pool=self.compute_pool)
-        with shard.lock:
-            _commit_plan(routed, plan, outputs, registry=shard.registry,
-                         cache=shard.cache, telemetry=shard.telemetry,
-                         config=self.config, results=results)
-
-    # ---------------------------------------------------- micro-batched path
-    def submit(self, record: SignalRecord) -> ServingResult | None:
-        """Submit one request to the owning shard's micro-batching intake.
-
-        A size-triggered batch is dispatched inline with the shard lock
-        released during the engine computation, mirroring the synchronous
-        path: a full batch on one shard stalls neither that shard's other
-        intake nor any other shard.
-        """
-        self.telemetry.increment("requests_total")
-        result, shard, full = self._route_and_enqueue(record)
-        if full is not None:
-            self._dispatch(shard, full)
-        return result
-
-    def _route_and_enqueue(
-            self, record: SignalRecord, request_id: str | None = None,
-    ) -> tuple[ServingResult | None, Shard | None, Batch | None]:
-        """Route one record into its shard's cache/batcher.
-
-        Returns ``(result, shard, full_batch)``; a returned full batch must
-        be dispatched by the caller *without* holding the shard lock.  A
-        fresh request ID is minted unless the caller passes the one a
-        previous intake already assigned (the hot-swap re-route path).
-        """
-        if request_id is None:
-            request_id = f"req{next(self._request_ids):06d}"
-        try:
-            decision = self.router.route(record)
-        except UnknownEnvironmentError as error:
-            self.telemetry.increment("rejections_total")
-            return ServingResult(record_id=record.record_id,
-                                 prediction=None, source="rejected",
-                                 error=str(error),
-                                 trace_id=request_id), None, None
-        shard = self.shard_for(decision.building_id)
-        with shard.lock:
-            key = None
-            if self.config.enable_cache:
-                key = fingerprint_key(decision.building_id, record,
-                                      quantum=self.config.rss_quantum)
-                cached = shard.cache.get(key)
-                if cached is not None:
-                    shard.telemetry.increment("cache_hits_total")
-                    shard.telemetry.increment("predictions_total")
-                    return ServingResult(
-                        record_id=record.record_id,
-                        prediction=replace(cached,
-                                           record_id=record.record_id),
-                        source="cache", trace_id=request_id), shard, None
-                shard.telemetry.increment("cache_misses_total")
-            full = shard.batcher.enqueue(decision.building_id,
-                                         (record, decision, key, request_id))
-        return None, shard, full
-
-    def poll(self) -> list[ServingResult]:
-        """Dispatch deadline-expired batches on every shard; collect results."""
-        with self._orphans_lock:
-            completed, self._orphans = self._orphans, []
-        for shard in self.shards:
-            with shard.lock:
-                due = list(shard.batcher.due())
-            for batch in due:
-                self._dispatch(shard, batch)
-            with shard.lock:
-                completed.extend(shard.completed)
-                shard.completed = []
-        return completed
-
-    def drain(self) -> list[ServingResult]:
-        """Flush every shard's pending batches; collect all results."""
-        with self._orphans_lock:
-            completed, self._orphans = self._orphans, []
-        for shard in self.shards:
-            with shard.lock:
-                pending = list(shard.batcher.drain())
-            for batch in pending:
-                self._dispatch(shard, batch)
-            with shard.lock:
-                completed.extend(shard.completed)
-                shard.completed = []
-        return completed
-
-    @property
-    def pending_count(self) -> int:
-        return sum(shard.batcher.pending_count for shard in self.shards)
-
-    def _dispatch(self, shard: Shard, batch: Batch) -> None:
-        """Three-phase dispatch on the owning shard (lock must not be held).
-
-        The buffer callback re-reads ``shard.completed`` per call (under
-        the shard lock) because ``poll``/``drain`` swap the list out.
-        """
-        _dispatch_batch(batch, lock=shard.lock, registry=shard.registry,
-                        cache=shard.cache, telemetry=shard.telemetry,
-                        config=self.config,
-                        buffer_result=lambda r: shard.completed.append(r),
-                        pool=self.compute_pool)
-
-    # ---------------------------------------------------------- observability
-    def telemetry_snapshot(self) -> dict[str, object]:
-        """Aggregated counters/latencies plus per-shard gauges and stats.
-
-        Counters are the *sum* over shards plus the service-level ones
-        (requests, rejections), so ``predictions_total`` always equals
-        requests minus rejections minus still-pending work, no matter which
-        shard served what.
-        """
-        for shard in self.shards:
-            self.telemetry.set_gauge(f"shard{shard.index}_queue_depth",
-                                     shard.batcher.pending_count)
-            self.telemetry.set_gauge(f"shard{shard.index}_cache_entries",
-                                     len(shard.cache))
-        snapshot = self.telemetry.merged_snapshot(
-            shard.telemetry for shard in self.shards)
-        cache_stats: dict[str, float | int] = {
-            "entries": 0, "max_entries": 0, "hits": 0, "misses": 0,
-            "evictions": 0, "expirations": 0, "invalidations": 0}
-        for shard in self.shards:
-            for name, value in shard.cache.stats().items():
-                if name in cache_stats:
-                    cache_stats[name] += value
-        lookups = cache_stats["hits"] + cache_stats["misses"]
-        cache_stats["hit_rate"] = round(
-            cache_stats["hits"] / lookups, 4) if lookups else 0.0
-        snapshot["cache"] = cache_stats
-        pending: dict[str, int] = {}
-        for shard in self.shards:
-            pending.update(shard.batcher.pending_by_building())
-        snapshot["pending"] = pending
-        snapshot["buildings"] = len(self.building_ids)
-        snapshot["shards"] = {str(shard.index): shard.stats()
-                              for shard in self.shards}
-        if self.compute_pool is not None:
-            snapshot["compute_pool"] = self.compute_pool.stats()
-        return snapshot
+__all__ = ["shard_index", "Shard", "ShardedRouter", "ShardedServingService",
+           "fingerprint_key"]

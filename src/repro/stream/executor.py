@@ -38,7 +38,7 @@ from pathlib import Path
 
 from ..core.embedding.kernels import validate_kernel
 from ..core.embedding.sampler import validate_sampler_mode
-from ..core.persistence import _atomic_save_model, _registry_model_filename, load_model
+from ..core.persistence import _registry_model_filename, fit_model
 from ..core.pipeline import GRAFICS
 from ..faults import failpoints
 from ..obs import runtime as obs
@@ -90,9 +90,11 @@ class RetrainExecutor:
     Parameters
     ----------
     service:
-        The serving façade to install into — :class:`FloorServingService`
-        or :class:`ShardedServingService`; only ``model_for``,
-        ``install_building``, ``grafics_config`` and ``telemetry`` are used.
+        The serving façade to install into (a
+        :class:`~repro.serving.FloorServingService`, any shard count);
+        only ``model_for``, ``install_building``, ``grafics_config`` and
+        ``telemetry`` are used.  ``install_building`` is looked up on the
+        instance at every install, so an instance-assigned hook applies.
     max_workers:
         ``0`` executes jobs synchronously inside :meth:`submit` (the
         pre-split behaviour); ``>= 1`` runs them on a thread pool and
@@ -258,15 +260,14 @@ class RetrainExecutor:
     # -------------------------------------------------------------- execution
     def _default_train(self, job: RetrainJob,
                        previous_embedding) -> GRAFICS:
-        model = GRAFICS(self.service.grafics_config)
-        model.fit(job.dataset, job.labels, warm_start=previous_embedding,
-                  kernel=self.kernel, sampler_mode=self.sampler_mode)
+        model_path = None
         if self.model_dir is not None:
-            self.model_dir.mkdir(parents=True, exist_ok=True)
-            path = self.model_dir / _registry_model_filename(job.building_id)
-            _atomic_save_model(model, path)
-            model = load_model(path)
-        return model
+            model_path = (self.model_dir
+                          / _registry_model_filename(job.building_id))
+        return fit_model(self.service.grafics_config, job.dataset,
+                         job.labels, warm_start=previous_embedding,
+                         kernel=self.kernel, sampler_mode=self.sampler_mode,
+                         model_path=model_path)
 
     def _execute(self, job: RetrainJob,
                  previous_embedding) -> RetrainCompletion:

@@ -39,7 +39,6 @@ from ..core.types import SignalRecord
 from ..obs import runtime as obs
 from ..obs.log import log_event
 from ..serving.service import FloorServingService, ServingConfig
-from ..serving.sharding import ShardedServingService
 from .drift import DriftConfig, DriftDetector, DriftEvent, DriftKind
 from .executor import RetrainExecutor
 from .filters import QualityFilter, default_filters
@@ -376,7 +375,7 @@ class ContinuousLearningPipeline:
 
     @classmethod
     def resume(cls, directory: str | Path,
-               service: FloorServingService | ShardedServingService | None = None,
+               service: FloorServingService | None = None,
                config: StreamConfig | None = None,
                filters: list[QualityFilter] | None = None,
                ) -> "ContinuousLearningPipeline":
@@ -384,7 +383,7 @@ class ContinuousLearningPipeline:
 
         With no arguments the serving stack is reconstructed exactly as
         checkpointed: the registry is loaded from disk, the serving façade
-        (one-lock or sharded, with its original configuration) is rebuilt
+        (with its original shard count and configuration) is rebuilt
         around it, and the stream configuration is restored from the
         checkpoint.  Pass ``service``/``config``/``filters`` to override —
         the filter chain must keep the checkpointed stage order, since the
@@ -412,7 +411,7 @@ class ContinuousLearningPipeline:
 
     @classmethod
     def _resume_from(cls, directory: Path,
-                     service: FloorServingService | ShardedServingService | None = None,
+                     service: FloorServingService | None = None,
                      config: StreamConfig | None = None,
                      filters: list[QualityFilter] | None = None,
                      ) -> "ContinuousLearningPipeline":
@@ -425,14 +424,13 @@ class ContinuousLearningPipeline:
                 directory / _CHECKPOINT_REGISTRY_DIR,
                 config=grafics_config_from_payload(
                     descriptor["grafics_config"]))
-            serving_config = ServingConfig(**descriptor["serving_config"])
-            if descriptor["kind"] == "sharded":
-                service = ShardedServingService(
-                    registry=registry, config=serving_config,
-                    num_shards=int(descriptor["num_shards"]))
-            else:
-                service = FloorServingService(registry=registry,
-                                              config=serving_config)
+            # Checkpoints written before the services were unified
+            # describe a one-lock service as {"kind": "single"} with no
+            # shard count: that is a 1-shard service.
+            service = FloorServingService(
+                registry=registry,
+                config=ServingConfig(**descriptor["serving_config"]),
+                num_shards=int(descriptor.get("num_shards", 1)))
         pipeline = cls(service, config, filters=filters)
         pipeline.restore_state(state)
         log_event("checkpoint_resumed", path=str(directory),
@@ -498,15 +496,14 @@ def _service_descriptor(service) -> dict:
     must therefore survive the round trip for resumed retrains to produce
     the same models an uninterrupted node would.
     """
-    descriptor = {
-        "kind": ("sharded" if isinstance(service, ShardedServingService)
-                 else "single"),
+    return {
+        # Older releases dispatch on ``kind``; "sharded" + ``num_shards``
+        # rebuilds this service exactly there too.
+        "kind": "sharded",
+        "num_shards": service.num_shards,
         "serving_config": asdict(service.config),
         "grafics_config": grafics_config_to_payload(service.grafics_config),
     }
-    if descriptor["kind"] == "sharded":
-        descriptor["num_shards"] = service.num_shards
-    return descriptor
 
 
 def _stream_config_from_payload(payload: dict) -> StreamConfig:

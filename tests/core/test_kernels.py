@@ -328,7 +328,7 @@ class TestKernelThreading:
             RetrainExecutor(service, kernel="fussed")
 
     def test_sharded_retrain_kernel(self, preset_split):
-        """The sharded facade mirrors the one-lock retrain kernel API."""
+        """A multi-shard service takes the retrain kernel override too."""
         from repro.core.types import FingerprintDataset
         from repro.serving import ShardedServingService
 

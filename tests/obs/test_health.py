@@ -21,7 +21,7 @@ from obs_helpers import FakeClock
 
 
 class FakeService:
-    """Minimal one-lock serving façade: telemetry + building ids."""
+    """Minimal unsharded serving façade: telemetry + building ids."""
 
     def __init__(self, clock, building_ids=("bldg-A",)):
         self.telemetry = MetricsRegistry(clock=clock)

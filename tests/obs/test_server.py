@@ -57,7 +57,7 @@ class TestShardedServiceEndpoints:
     def server(self):
         clock = FakeClock()
         trained, splits = train_service(("bldg-A", "bldg-B"))
-        service = ShardedServingService(registry=trained.registry,
+        service = ShardedServingService(registry=trained.export_registry(),
                                         config=ServingConfig(),
                                         num_shards=2, clock=clock)
         obs.enable()
@@ -167,7 +167,8 @@ class TestPipelineIncidentAcceptance:
             assert latched, "AP churn never latched the drift detector"
             # ...plus an injected latency spike and a rejection storm.
             for _ in range(10):
-                service.telemetry.observe("request_seconds", 2.0)
+                service.shard_for("bldg-A").telemetry.observe(
+                    "request_seconds", 2.0)
                 clock.advance(1.0)
             for index in range(40):
                 rejected = service.submit(_alien(index))

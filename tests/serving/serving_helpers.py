@@ -35,6 +35,11 @@ def make_service(registry, clock, **config_kwargs) -> FloorServingService:
                                clock=clock)
 
 
+def counter(service, name: str) -> int:
+    """One aggregated (service + every shard) telemetry counter."""
+    return service.telemetry_snapshot()["counters"].get(name, 0)
+
+
 def interleaved_probes(held_out, per_building: int = 6):
     """Probes alternating between buildings, to exercise grouped dispatch."""
     columns = [records[:per_building] for records in held_out.values()]

@@ -23,11 +23,7 @@ from serving_helpers import clone_registry, interleaved_probes
 
 from repro.core.embedding.trainer import _SAMPLER_CACHE, clear_sampler_cache
 from repro.core.inference import UnknownEnvironmentError
-from repro.serving import (
-    FloorServingService,
-    ServingConfig,
-    ShardedServingService,
-)
+from repro.serving import FloorServingService, ServingConfig
 
 THREADS = 4
 ROUNDS = 12
@@ -39,35 +35,27 @@ def cold_config(**kwargs) -> ServingConfig:
     return ServingConfig(enable_cache=False, **kwargs)
 
 
-def make_cold_sharded(registry, num_shards=1) -> ShardedServingService:
-    return ShardedServingService(registry=clone_registry(registry),
-                                 config=cold_config(), num_shards=num_shards)
+def make_cold_service(registry, num_shards=1) -> FloorServingService:
+    return FloorServingService(registry=clone_registry(registry),
+                               config=cold_config(), num_shards=num_shards)
 
 
 class TestColdPredictsRacingHotSwaps:
-    """Satellite: cold predicts vs background retrain + hot swap, one shard."""
+    """Satellite: cold predicts vs background retrain + hot swap."""
 
-    @pytest.mark.parametrize("make_service", [
-        pytest.param(
-            lambda registry: make_cold_sharded(registry, num_shards=1),
-            id="sharded-single-shard"),
-        pytest.param(
-            lambda registry: FloorServingService(
-                registry=clone_registry(registry), config=cold_config()),
-            id="one-lock"),
-    ])
+    @pytest.mark.parametrize("num_shards", [1, 3])
     def test_byte_identical_to_sequential_schedule(self, serving_corpus,
-                                                   make_service):
+                                                   num_shards):
         registry, held_out, training = serving_corpus
-        service = make_service(registry)
+        service = make_cold_service(registry, num_shards)
         probes = interleaved_probes(held_out, per_building=4)
 
-        # The sequential schedule: the same probes served with no
-        # concurrency and no swaps.  Retrains below are cold fits of the
-        # same data with the same seeded config, so every swapped-in model
-        # is byte-identical to the one it replaces and the sequential
-        # reference stays valid across the whole race.
-        reference = make_cold_sharded(registry).predict_batch(probes)
+        # The sequential schedule: the same probes served by the registry
+        # reference, with no concurrency and no swaps.  Retrains below are
+        # cold fits of the same data with the same seeded config, so every
+        # swapped-in model is byte-identical to the one it replaces and the
+        # sequential reference stays valid across the whole race.
+        reference = [registry.predict(probe) for probe in probes]
 
         errors: list[Exception] = []
         start_barrier = threading.Barrier(THREADS + 1)
@@ -238,18 +226,11 @@ class TestServingLeavesModelStateUntouched:
         yield
         clear_sampler_cache()
 
-    @pytest.mark.parametrize("make_service", [
-        pytest.param(lambda registry: make_cold_sharded(registry, 2),
-                     id="sharded"),
-        pytest.param(
-            lambda registry: FloorServingService(
-                registry=clone_registry(registry), config=cold_config()),
-            id="one-lock"),
-    ])
+    @pytest.mark.parametrize("num_shards", [1, 3])
     def test_no_version_bump_and_sampler_cache_survival(self, serving_corpus,
-                                                        make_service):
+                                                        num_shards):
         registry, held_out, _ = serving_corpus
-        service = make_service(registry)
+        service = make_cold_service(registry, num_shards)
         probes = interleaved_probes(held_out, per_building=3)
         versions = {building_id: service.model_for(building_id).graph.version
                     for building_id in service.building_ids}

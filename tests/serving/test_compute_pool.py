@@ -202,8 +202,7 @@ class TestPoolIdentity:
     def test_sharded_service_identical(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
         probes = interleaved_probes(held_out, per_building=8)
-        control = make_service(registry, fake_clock, enable_cache=False)
-        expected = control.predict_batch(probes)
+        expected = [registry.predict(probe) for probe in probes]
         with ShardedServingService(
                 clone_registry(registry),
                 ServingConfig(enable_cache=False, **FORK),

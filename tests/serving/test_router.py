@@ -173,7 +173,7 @@ class TestHotSwapPostings:
         replaced = [f"{mac}-replacement" for mac in
                     sorted(old_vocabulary)[len(old_vocabulary) // 2:]]
 
-        model = service.registry.model_for("bldg-north")
+        model = service.model_for("bldg-north")
         service.install_building("bldg-north", model,
                                  vocabulary=kept + replaced)
 

@@ -9,7 +9,7 @@ from repro import SignalRecord
 from repro.core.persistence import load_model
 from repro.serving import FloorServingService, ServingConfig
 
-from serving_helpers import interleaved_probes, make_service
+from serving_helpers import counter, interleaved_probes, make_service
 
 
 class TestSequentialEquality:
@@ -24,7 +24,7 @@ class TestSequentialEquality:
         assert service.predict_batch(probes) == reference
         # A warm second pass (all cache hits) must return the same thing.
         assert service.predict_batch(probes) == reference
-        assert service.telemetry.counter("cache_hits_total") == len(probes)
+        assert counter(service, "cache_hits_total") == len(probes)
 
     def test_predict_batch_identical_with_cache_disabled(self, serving_corpus,
                                                          fake_clock):
@@ -33,7 +33,7 @@ class TestSequentialEquality:
         reference = [registry.predict(record) for record in probes]
         service = make_service(registry, fake_clock, enable_cache=False)
         assert service.predict_batch(probes) == reference
-        assert service.telemetry.counter("cache_hits_total") == 0
+        assert counter(service, "cache_hits_total") == 0
 
     def test_single_predict_matches_reference(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -59,7 +59,7 @@ class TestCacheSemantics:
         twin = SignalRecord(record_id="twin-of-" + probe.record_id,
                             rss=dict(probe.rss))
         second = service.predict(twin)
-        assert service.telemetry.counter("cache_hits_total") == 1
+        assert counter(service, "cache_hits_total") == 1
         assert second.record_id == "twin-of-" + probe.record_id
         assert (second.building_id, second.floor, second.distance) == \
             (first.building_id, first.floor, first.distance)
@@ -73,8 +73,8 @@ class TestCacheSemantics:
         service.predict(probe)
         fake_clock.advance(31.0)
         service.predict(probe)
-        assert service.telemetry.counter("cache_hits_total") == 0
-        assert service.cache.expirations == 1
+        assert counter(service, "cache_hits_total") == 0
+        assert service.shards[0].cache.expirations == 1
 
 
 class TestMicroBatchedIntake:
@@ -92,7 +92,7 @@ class TestMicroBatchedIntake:
             [p.record_id for p in probes[:3]]
         assert all(r.ok and r.source == "batch" for r in results)
         assert all(r.prediction.building_id == building_id for r in results)
-        assert service.telemetry.counter("batch_flush_size_total") == 1
+        assert counter(service, "batch_flush_size_total") == 1
         # Byte-identical to the sequential reference, like the sync path.
         assert [r.prediction for r in results] == \
             [registry.predict(p) for p in probes[:3]]
@@ -107,7 +107,7 @@ class TestMicroBatchedIntake:
         fake_clock.advance(0.06)
         results = service.poll()
         assert len(results) == 1 and results[0].ok
-        assert service.telemetry.counter("batch_flush_deadline_total") == 1
+        assert counter(service, "batch_flush_deadline_total") == 1
 
     def test_drain_flushes_everything(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -120,7 +120,7 @@ class TestMicroBatchedIntake:
         results = service.drain()
         assert sorted(r.record_id for r in results) == sorted(submitted)
         assert service.pending_count == 0
-        assert service.telemetry.counter("batch_flush_drain_total") == 2
+        assert counter(service, "batch_flush_drain_total") == 2
 
     def test_cache_hit_returns_immediately(self, serving_corpus, fake_clock):
         registry, held_out, _ = serving_corpus
@@ -142,7 +142,7 @@ class TestMicroBatchedIntake:
         assert result.source == "rejected"
         assert "does not match" in result.error
         assert service.pending_count == 0
-        assert service.telemetry.counter("rejections_total") == 1
+        assert counter(service, "rejections_total") == 1
 
 
 class TestBuildingLifecycle:
@@ -154,15 +154,15 @@ class TestBuildingLifecycle:
         probes = held_out[building_id][:5]
         service = make_service(registry, fake_clock)
         service.predict_batch(probes)  # warm the cache for this building
-        assert len(service.cache) == len(probes)
+        assert len(service.shards[0].cache) == len(probes)
 
         model_path = tmp_path / "north.npz"
         swapped = service.retrain_building(dataset, labels,
                                            model_path=model_path)
         assert model_path.is_file()
-        assert service.telemetry.counter("hot_swaps_total") == 1
+        assert counter(service, "hot_swaps_total") == 1
         # The hot swap invalidated every cached entry of that building.
-        assert len(service.cache) == 0
+        assert len(service.shards[0].cache) == 0
 
         # What serves now is exactly what a restart would load from disk.
         restored = load_model(model_path)
@@ -170,7 +170,7 @@ class TestBuildingLifecycle:
         served = service.predict_batch(probes)
         assert [p.floor for p in served] == [e.floor for e in expected]
         assert [p.distance for p in served] == [e.distance for e in expected]
-        assert swapped is service.registry.model_for(building_id)
+        assert swapped is service.model_for(building_id)
 
     def test_hot_swap_reroutes_queued_requests(self, serving_corpus, fake_clock):
         """A request queued before a swap must not keep its stale routing
@@ -278,7 +278,7 @@ class TestRetrainSamplerMode:
         swapped = service.retrain_building(dataset, labels,
                                            sampler_mode="delta")
         assert swapped.config.sampler_mode == "delta"
-        assert service.registry.model_for(building_id) is swapped
+        assert service.model_for(building_id) is swapped
         # The delta-mode model still serves that building's probes.
         prediction = service.predict(held_out[building_id][0])
         assert prediction.floor is not None

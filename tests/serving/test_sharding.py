@@ -1,4 +1,8 @@
-"""Sharded-serving tests: placement, routing equality, byte-identical serving."""
+"""Sharded-serving tests: placement, routing equality, byte-identical serving.
+
+Byte-identity is checked against the independent oracle: the sequential
+``MultiBuildingFloorService.predict`` reference of the research pipeline.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,9 @@ import pytest
 
 from serving_helpers import FakeClock, clone_registry, interleaved_probes
 
-from repro import SignalRecord
+from repro import GRAFICS, SignalRecord
 from repro.core.inference import UnknownEnvironmentError
 from repro.serving import (
-    FloorServingService,
     MacInvertedRouter,
     ServingConfig,
     ShardedServingService,
@@ -22,12 +25,6 @@ def sharded_service(registry, num_shards=4, clock=None, **config_kwargs):
                                  config=ServingConfig(**config_kwargs),
                                  num_shards=num_shards,
                                  clock=clock or FakeClock())
-
-
-def one_lock_service(registry, clock=None, **config_kwargs):
-    return FloorServingService(registry=clone_registry(registry),
-                               config=ServingConfig(**config_kwargs),
-                               clock=clock or FakeClock())
 
 
 class TestPlacement:
@@ -107,7 +104,7 @@ class TestByteIdenticalServing:
                                                      num_shards):
         registry, held_out, _ = serving_corpus
         probes = interleaved_probes(held_out, per_building=8)
-        reference = one_lock_service(registry).predict_batch(probes)
+        reference = [registry.predict(probe) for probe in probes]
         sharded = sharded_service(registry, num_shards=num_shards)
         assert sharded.predict_batch(probes) == reference
         # Warm-cache pass stays identical too.
@@ -116,15 +113,14 @@ class TestByteIdenticalServing:
     def test_predict_equals_reference_without_cache(self, serving_corpus):
         registry, held_out, _ = serving_corpus
         probes = interleaved_probes(held_out, per_building=6)
-        reference = one_lock_service(
-            registry, enable_cache=False).predict_batch(probes)
+        reference = [registry.predict(probe) for probe in probes]
         sharded = sharded_service(registry, num_shards=4, enable_cache=False)
         assert [sharded.predict(p) for p in probes] == reference
 
     def test_micro_batched_path_equals_reference(self, serving_corpus):
         registry, held_out, _ = serving_corpus
         probes = interleaved_probes(held_out, per_building=6)
-        reference = one_lock_service(registry).predict_batch(probes)
+        reference = [registry.predict(probe) for probe in probes]
         by_id = {p.record_id: p for p in reference}
 
         service = sharded_service(registry, num_shards=4, max_batch_size=4)
@@ -136,18 +132,24 @@ class TestByteIdenticalServing:
             assert result.prediction == by_id[result.record_id]
 
     def test_retrain_building_matches_one_lock_retrain(self, serving_corpus):
+        """A warm-started retrain + hot swap serves exactly what the
+        sequential registry serves after the same fit done offline."""
         registry, held_out, training = serving_corpus
         building_id = "bldg-north"
         dataset, labels = training[building_id]
 
-        reference = one_lock_service(registry)
-        reference.retrain_building(dataset, labels, warm_start=True)
+        offline = GRAFICS(registry.config).fit(
+            dataset, labels,
+            warm_start=registry.model_for(building_id).embedding)
+        reference = clone_registry(registry)
+        reference.install_model(building_id, offline,
+                                vocabulary=frozenset(dataset.macs))
         sharded = sharded_service(registry, num_shards=4)
         sharded.retrain_building(dataset, labels, warm_start=True)
 
         probes = held_out[building_id][:6]
         assert (sharded.predict_batch(probes)
-                == reference.predict_batch(probes))
+                == [reference.predict(probe) for probe in probes])
 
 
 class TestLifecycle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,30 @@ class TestResumeReplaysIdentically:
                   for r in splits["bldg-B"].test_records[:4]]
         assert (resumed.service.predict_batch(probes)
                 == pipeline.service.predict_batch(probes))
+
+    def test_one_lock_checkpoint_resumes_as_one_shard(self, tmp_path):
+        """A checkpoint in the one-lock service's descriptor form (written
+        before the services were unified: ``"kind": "single"``, no shard
+        count) resumes as a 1-shard service serving the same bytes."""
+        service, splits = train_service(building_ids=("bldg-A", "bldg-B"))
+        pipeline = ContinuousLearningPipeline(service, drift_config())
+        pipeline.process_stream(stream_records(splits["bldg-A"], 30,
+                                               jitter=2.0))
+        pipeline.checkpoint(tmp_path / "ckpt")
+        state_file = tmp_path / "ckpt" / "stream_state.json"
+        state = load_stream_state(state_file)
+        descriptor = state["service"]
+        state["service"] = {"kind": "single",
+                            "serving_config": descriptor["serving_config"],
+                            "grafics_config": descriptor["grafics_config"]}
+        save_stream_state(state, state_file)
+
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        assert resumed.service.num_shards == 1
+        probes = [r.without_floor() for split in splits.values()
+                  for r in split.test_records[:4]]
+        assert (pickle.dumps(resumed.service.predict_batch(probes))
+                == pickle.dumps(pipeline.service.predict_batch(probes)))
 
     def test_dedup_filter_memory_survives_resume(self, tmp_path):
         """A duplicate of a pre-checkpoint record must still be rejected."""

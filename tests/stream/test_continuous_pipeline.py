@@ -73,7 +73,7 @@ class TestChurnRetrainSwap:
         assert swap_result.retrain.trigger == "drift:mac_churn"
         assert swap_result.retrain.window_records >= 16
         assert service.telemetry.counter("stream_retrains_total") == 1
-        assert service.telemetry.counter("hot_swaps_total") == 1
+        assert service.telemetry_snapshot()["counters"]["hot_swaps_total"] == 1
 
     def test_post_swap_model_is_byte_identical_to_offline_fit(
             self, swapped_pipeline):
@@ -85,7 +85,7 @@ class TestChurnRetrainSwap:
                   if r.floor is not None}
 
         offline = GRAFICS(FAST_CONFIG).fit(dataset, labels)
-        installed = service.registry.model_for("bldg-A")
+        installed = service.model_for("bldg-A")
         assert np.array_equal(installed.embedding.ego, offline.embedding.ego)
         assert np.array_equal(installed.embedding.context,
                               offline.embedding.context)
@@ -114,7 +114,7 @@ class TestChurnRetrainSwap:
 
     def test_cache_was_invalidated_by_the_swap(self, swapped_pipeline):
         service, split, pipeline, results, swap_result = swapped_pipeline
-        assert service.cache.invalidations > 0
+        assert service.telemetry_snapshot()["cache"]["invalidations"] > 0
 
 
 class TestUnroutableTraffic:

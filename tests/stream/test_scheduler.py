@@ -93,7 +93,7 @@ class TestGuards:
 class TestRetrain:
     def test_drift_trigger_retrains_and_hot_swaps(self, fresh_service):
         service, splits = fresh_service
-        old_model = service.registry.model_for("bldg-A")
+        old_model = service.model_for("bldg-A")
         windows = filled_windows(splits["bldg-A"], count=20)
         scheduler = RetrainScheduler(
             service, windows, SchedulerConfig(min_window_records=10,
@@ -104,7 +104,7 @@ class TestRetrain:
         assert report.trigger == "drift:mac_churn"
         assert report.window_records == 20
         assert report.duration_seconds > 0.0
-        assert service.registry.model_for("bldg-A") is not old_model
+        assert service.model_for("bldg-A") is not old_model
         assert scheduler.retrains_total == 1
         # The new vocabulary is the window's, installed in the router too.
         assert (service.router.vocabulary_for("bldg-A")
