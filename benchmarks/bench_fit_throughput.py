@@ -85,16 +85,15 @@ def measure_fit(sizes) -> dict:
     split = make_experiment_split(
         dataset, labels_per_floor=sizes["labels_per_floor"], seed=0)
     records = list(split.train_records)
-    config = GraficsConfig(embedding=EmbeddingConfig(seed=0),
-                           allow_unreachable_clusters=True)
     probes = [r.without_floor() for r in split.test_records]
     truth = [r.floor for r in split.test_records]
 
     results = {}
     for kernel in ("reference", "fused"):
+        config = GraficsConfig(embedding=EmbeddingConfig(seed=0, kernel=kernel),
+                               allow_unreachable_clusters=True)
         seconds, model = _best_of(
-            lambda k=kernel: GRAFICS(config).fit(records, split.labels,
-                                                 kernel=k),
+            lambda: GRAFICS(config).fit(records, split.labels),
             sizes["repeats"])
         total_samples = int(model.embedding.config.samples_per_edge
                             * model.graph.num_edges)

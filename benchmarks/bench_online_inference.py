@@ -158,7 +158,9 @@ def measure_traced_cold_path(model, dataset, probes, cold_predicts: int,
     Reports throughput with tracing on (the overhead side of the ledger)
     plus the per-stage cost breakdown of the online path — alias-table
     build vs frozen SGD vs everything else — scraped from the tracer's
-    aggregated spans.  With ``artifacts_dir`` the raw spans (JSONL) and the
+    aggregated spans, and how many full ``NegativeSampler`` builds each
+    cold predict paid for (the ``embed.alias_build`` spans' ``negatives``
+    attribute).  With ``artifacts_dir`` the raw spans (JSONL) and the
     metrics snapshot are written out for CI to archive.
     """
     tracer, metrics = obs.enable()
@@ -181,6 +183,9 @@ def measure_traced_cold_path(model, dataset, probes, cold_predicts: int,
         stages = stage_breakdown(spans, prefix="embed.")
         shares = {name: round(info["share"], 3)
                   for name, info in stages.items()}
+        full_negative_builds = sum(
+            1 for span in spans if span.name == "embed.alias_build"
+            and span.attributes.get("negatives") == "full")
         if artifacts_dir is not None:
             directory = Path(artifacts_dir)
             directory.mkdir(parents=True, exist_ok=True)
@@ -191,7 +196,9 @@ def measure_traced_cold_path(model, dataset, probes, cold_predicts: int,
         return {"records": cold_predicts,
                 "seconds": round(seconds, 4),
                 "records_per_s": round(cold_predicts / seconds, 1),
-                "stage_shares": shares}
+                "stage_shares": shares,
+                "full_negative_builds_per_predict":
+                    full_negative_builds / cold_predicts}
     finally:
         obs.disable()
 
@@ -308,10 +315,12 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
     # Accuracy-parity gate: the delta mode samples the same distribution,
     # so it must not cost floor-identification accuracy on the campus preset.
     assert accuracy["delta"] >= accuracy["exact"] - 1.0 / len(parity_probes)
-    # In-run speedup floor (the history gate holds the 1.3x line against
-    # the committed baseline; this catches a delta path that stopped
-    # paying for itself at all).
-    assert delta_speedup > 1.05
+    # The delta sampler's gain is that it skips the per-predict O(V)
+    # negative alias build; count that directly instead of gating on the
+    # wall-clock ratio, which sits within host noise at this building size.
+    assert traced["full_negative_builds_per_predict"] == 1.0, traced
+    assert delta_traced["full_negative_builds_per_predict"] == 0.0, \
+        delta_traced
     # Pool correctness is non-negotiable: chunked multi-process compute
     # must reproduce the in-process bytes exactly.  The speed floors are
     # deliberately loose — this container has a single CPU, so workers=1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,10 +46,13 @@ class EmbeddingConfig:
     seed:
         Seed of the training random generator (``None`` for nondeterministic).
     kernel:
-        Mini-batch training kernel (:mod:`repro.core.embedding.kernels`):
-        ``"reference"`` (default; bit-for-bit the historical update, backing
-        every byte-identity guarantee) or ``"fused"`` (2x+ throughput,
-        seed-deterministic, tolerance-equivalent to the reference).
+        Mini-batch training kernel of full fits
+        (:mod:`repro.core.embedding.kernels`): ``"reference"`` (default;
+        bit-for-bit the historical update, backing every byte-identity
+        guarantee) or ``"fused"`` (2x+ throughput, seed-deterministic,
+        tolerance-equivalent to the reference).  The frozen online update
+        of new records always runs the reference kernel's frozen-subset
+        path, whatever kernel the model was fitted with.
     sampler_mode:
         Negative-sampler construction on overlay graphs (the per-prediction
         cold path): ``"exact"`` (default; rebuild the full alias table,
@@ -158,18 +161,10 @@ class GraphEmbedding:
 
 
 class GraphEmbedder(ABC):
-    """Base class for algorithms that embed the bipartite graph's nodes.
+    """Base class for algorithms that embed the bipartite graph's nodes."""
 
-    ``kernel`` optionally overrides ``config.kernel`` for this embedder
-    (convenience for call sites that thread a kernel choice without
-    rebuilding the whole config).
-    """
-
-    def __init__(self, config: EmbeddingConfig | None = None,
-                 kernel: str | None = None) -> None:
+    def __init__(self, config: EmbeddingConfig | None = None) -> None:
         self.config = config or EmbeddingConfig()
-        if kernel is not None and kernel != self.config.kernel:
-            self.config = replace(self.config, kernel=kernel)
 
     @abstractmethod
     def fit(self, graph: BipartiteGraph,

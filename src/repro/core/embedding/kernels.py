@@ -10,13 +10,13 @@ train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
   every byte-identity guarantee of the serving and streaming stacks (cache
   hits equal recomputation, checkpoint-resume replays, every shard count
   == the sequential registry)
-  is stated — and test-enforced — against it.  Frozen training (a
-  ``trainable`` mask, the online-inference path) computes and scatters only
-  the trainable-row subset of the gradients; the subset updates are the
-  same values in the same accumulation order as the historical
-  full-batch-then-mask scatter (whose masked-out updates were exact zeros),
-  so online predictions remain byte-identical while the per-batch cost
-  tracks the handful of trainable rows.
+  is stated — and test-enforced — against it.  It is also the only kernel
+  with frozen training (a ``trainable`` mask, the online-inference path):
+  it computes and scatters only the trainable-row subset of the gradients;
+  the subset updates are the same values in the same accumulation order as
+  the historical full-batch-then-mask scatter (whose masked-out updates
+  were exact zeros), so online predictions remain byte-identical while the
+  per-batch cost tracks the handful of trainable rows.
 
 * ``fused`` — a throughput-optimised kernel that processes all enabled
   objective terms from one pre-batch snapshot of the tables:
@@ -43,11 +43,13 @@ train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
   embeddings.  Its results differ from the reference only through float
   summation order and the within-batch term ordering; the test suite pins it
   to the reference within tolerance on a single batch and to equal end-to-end
-  floor accuracy on the synthetic presets.
+  floor accuracy on the synthetic presets.  It trains full tables only.
 
-Kernels are selected through ``EmbeddingConfig.kernel`` and threaded through
-``GRAFICS.fit``, the serving retrain path and the streaming retrain executor;
-see the README's "Performance & training kernels" section.
+The kernel is a fit-only setting with one home, ``EmbeddingConfig.kernel``
+(the streaming retrain executor's ``kernel`` is the one route that swaps it
+for stream retrains).  The frozen online update of new records always runs
+the reference kernel, whatever kernel fitted the model; see the README's
+"Performance & training kernels" section.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class TrainingKernel(ABC):
         ``heads``/``tails`` are the sampled directed edges (shape ``(B,)``)
         and ``negatives`` the sampled noise nodes (shape ``(B, K)``).
         ``terms`` selects the objective terms (an ``ObjectiveTerms``), and
-        ``trainable`` optionally masks which rows may receive updates.
+        ``trainable`` optionally masks which rows may receive updates (the
+        frozen online update; only the reference kernel supports it).
         """
 
 
@@ -254,6 +257,9 @@ class FusedKernel(TrainingKernel):
     # ---------------------------------------------------------------- batch
     def train_batch(self, ego, context, heads, tails, negatives, *,
                     learning_rate, terms, config, rng, trainable=None):
+        if trainable is not None:
+            raise ValueError("the fused kernel trains full tables only; "
+                             "frozen training runs the reference kernel")
         batch, num_negatives = negatives.shape
         dim = ego.shape[1]
         block = num_negatives + 1
@@ -324,9 +330,6 @@ class FusedKernel(TrainingKernel):
         np.einsum("bk,bkd->bd", sig, flat_targets, out=grad_sources)
         coeff = sig.reshape(count, batch, block)
         grads = grad_sources.reshape(count, batch, dim)
-        if trainable is not None:
-            grads *= trainable[heads][:, None]
-            coeff *= trainable[target_flat].reshape(batch, block)
 
         # The scatter-bin vector (see _scatter) only depends on the
         # per-table part structure — every dense part scatters to ``heads``

@@ -30,8 +30,8 @@ class LINEEmbedder(GraphEmbedder):
     """LINE graph embedding with selectable proximity order."""
 
     def __init__(self, config: EmbeddingConfig | None = None,
-                 order: str = "second", kernel: str | None = None) -> None:
-        super().__init__(config, kernel=kernel)
+                 order: str = "second") -> None:
+        super().__init__(config)
         if order not in _ORDERS:
             known = ", ".join(sorted(_ORDERS))
             raise ValueError(f"unknown LINE order {order!r}; known: {known}")

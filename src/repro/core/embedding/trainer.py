@@ -22,8 +22,10 @@ previously learned embeddings.
 The per-batch update itself is delegated to a pluggable kernel
 (:mod:`repro.core.embedding.kernels`) selected by ``EmbeddingConfig.kernel``:
 ``reference`` (default, bit-for-bit the historical implementation) or
-``fused`` (2x+ throughput, tolerance-equivalent).  Sampling, the
-learning-rate schedule and the RNG stream live here, shared by all kernels.
+``fused`` (2x+ throughput, tolerance-equivalent, full tables only).  Frozen
+training needs the reference kernel; the online embedder always selects it.
+Sampling, the learning-rate schedule and the RNG stream live here, shared by
+all kernels.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,26 +76,17 @@ class OnlineInferenceEngine:
     cluster_model:
         The nearest-centroid floor classifier from the offline clustering.
     embedder:
-        The embedder used for the incremental (frozen) embedding step.
-    sampler_mode:
-        Optional override of the embedder config's negative-sampler mode for
-        the per-prediction cold path (``"exact"`` or ``"delta"``, see
-        :class:`~repro.core.embedding.base.EmbeddingConfig`).  ``None``
-        keeps whatever the embedder config says.
+        The embedder used for the incremental (frozen) embedding step; its
+        config also selects the per-prediction negative sampler.
     """
 
     def __init__(self, graph: BipartiteGraph, embedding: GraphEmbedding,
                  cluster_model: ClusterModel,
-                 embedder: ELINEEmbedder | None = None,
-                 sampler_mode: str | None = None) -> None:
+                 embedder: ELINEEmbedder | None = None) -> None:
         self.graph = graph
         self.embedding = embedding
         self.cluster_model = cluster_model
         self.embedder = embedder or ELINEEmbedder(embedding.config)
-        if (sampler_mode is not None
-                and sampler_mode != self.embedder.config.sampler_mode):
-            self.embedder = type(self.embedder)(
-                replace(self.embedder.config, sampler_mode=sampler_mode))
         # Per-thread scratch buffers for the restricted incident-edge arrays
         # (consecutive cold predictions usually stage same-shaped deltas).
         # Thread-local: the buffers are reused in place, so they must never

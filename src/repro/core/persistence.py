@@ -368,7 +368,6 @@ def _atomic_save_model(model: GRAFICS, path: Path) -> None:
 
 def fit_model(config: GraficsConfig, dataset, labels,
               warm_start: GraphEmbedding | None = None,
-              kernel: str | None = None, sampler_mode: str | None = None,
               model_path: str | Path | None = None) -> GRAFICS:
     """Fit a fresh model off to the side; optionally persist and reload it.
 
@@ -379,8 +378,7 @@ def fit_model(config: GraficsConfig, dataset, labels,
     load from disk.  Installing stays with the caller.
     """
     model = GRAFICS(config)
-    model.fit(dataset, labels, warm_start=warm_start, kernel=kernel,
-              sampler_mode=sampler_mode)
+    model.fit(dataset, labels, warm_start=warm_start)
     if model_path is not None:
         model_path = Path(model_path)
         model_path.parent.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,6 @@ from .clustering.hierarchical import ClusteringResult, ProximityClustering
 from .clustering.model import ClusterModel
 from .embedding.base import EmbeddingConfig, GraphEmbedding
 from .embedding.eline import ELINEEmbedder
-from .embedding.sampler import validate_sampler_mode
 from .embedding.line import LINEEmbedder
 from .graph import BipartiteGraph, build_graph
 from .inference import FloorPrediction, OnlineInferenceEngine
@@ -55,19 +54,11 @@ class GraficsConfig:
     weight_function:
         Edge weight function (paper default: ``f(RSS) = RSS + 120``).
     embedding:
-        Full embedding hyperparameters.  ``embedding_dimension`` overrides the
-        dimension stored here so the common case needs a single knob.
-    kernel:
-        Optional training-kernel override (``"reference"``/``"fused"``, see
-        :mod:`repro.core.embedding.kernels`); when set it overrides
-        ``embedding.kernel`` the same way ``embedding_dimension`` overrides
-        the dimension.  ``None`` keeps whatever the embedding config says.
-    sampler_mode:
-        Optional negative-sampler-mode override for the online cold path
-        (``"exact"``/``"delta"``, see
-        :class:`~repro.core.embedding.base.EmbeddingConfig`); same override
-        semantics as ``kernel``.  ``None`` keeps whatever the embedding
-        config says.
+        Full embedding hyperparameters, including the fit kernel
+        (``embedding.kernel``) and the online cold path's negative-sampler
+        mode (``embedding.sampler_mode``).  ``embedding_dimension``
+        overrides the dimension stored here so the common case needs a
+        single knob.
     allow_unreachable_clusters:
         Forwarded to :class:`ProximityClustering`.
     """
@@ -76,20 +67,18 @@ class GraficsConfig:
     embedder: str = "eline"
     weight_function: WeightFunction = field(default_factory=OffsetWeight)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    kernel: str | None = None
-    sampler_mode: str | None = None
     allow_unreachable_clusters: bool = False
 
+    @property
+    def sampler_mode(self) -> str:
+        """The online cold path's negative-sampler mode (read-only)."""
+        return self.embedding.sampler_mode
+
     def resolved_embedding_config(self) -> EmbeddingConfig:
-        """The embedding config with the pipeline-level overrides applied."""
+        """The embedding config with ``embedding_dimension`` applied."""
         config = self.embedding
         if config.dimension != self.embedding_dimension:
             config = replace(config, dimension=self.embedding_dimension)
-        if self.kernel is not None and config.kernel != self.kernel:
-            config = replace(config, kernel=self.kernel)
-        if (self.sampler_mode is not None
-                and config.sampler_mode != self.sampler_mode):
-            config = replace(config, sampler_mode=self.sampler_mode)
         return config
 
     def make_embedder(self):
@@ -105,6 +94,12 @@ class GraficsConfig:
             return LINEEmbedder(config, order="combined")
         raise ValueError(f"unknown embedder {self.embedder!r}; expected one of "
                          "'eline', 'line', 'line-first', 'line-combined'")
+
+
+def _with_sampler_mode(config: GraficsConfig,
+                       sampler_mode: str) -> GraficsConfig:
+    return replace(config, embedding=replace(config.embedding,
+                                             sampler_mode=sampler_mode))
 
 
 class GRAFICS:
@@ -123,7 +118,6 @@ class GRAFICS:
     def fit(self, records: FingerprintDataset | Sequence[SignalRecord],
             labels: Mapping[str, int] | None = None,
             warm_start: GraphEmbedding | None = None,
-            kernel: str | None = None,
             sampler_mode: str | None = None) -> "GRAFICS":
         """Run the offline training phase.
 
@@ -146,15 +140,11 @@ class GRAFICS:
             of the sliding window survives from one model generation to the
             next.  Clustering and inference are unaffected beyond the
             embedding initialisation.
-        kernel:
-            Optional per-fit training-kernel override (``"reference"`` /
-            ``"fused"``).  The trained embedding records the kernel it was
-            fitted with, so online inference on this model keeps using it.
         sampler_mode:
-            Optional per-fit negative-sampler-mode override (``"exact"`` /
-            ``"delta"``).  The fit itself is unaffected (offline training
-            never sees an overlay); the mode is recorded on the model's
-            config and drives this model's online cold path.
+            Optional negative-sampler mode (``"exact"`` / ``"delta"``)
+            written into the model's ``embedding.sampler_mode``.  The fit
+            itself is unaffected (offline training never sees an overlay);
+            the mode drives this model's online cold path.
         """
         record_list = list(records.records if isinstance(records, FingerprintDataset)
                            else records)
@@ -172,14 +162,8 @@ class GRAFICS:
                 f"labels reference records that are not in the training set: "
                 f"{sorted(missing)[:5]}")
 
-        if kernel is not None and self.config.kernel != kernel:
-            # Record the effective kernel on the model's config so the
-            # override survives persistence round-trips and drives the
-            # online-inference engine of this model.
-            self.config = replace(self.config, kernel=kernel)
         if sampler_mode is not None and self.config.sampler_mode != sampler_mode:
-            validate_sampler_mode(sampler_mode)
-            self.config = replace(self.config, sampler_mode=sampler_mode)
+            self.config = _with_sampler_mode(self.config, sampler_mode)
         with obs.span("fit") as fit_span:
             fit_span.set("records", len(record_list))
             fit_span.set("labels", len(labels))
@@ -233,14 +217,15 @@ class GRAFICS:
         """The lazily created online-inference engine."""
         self._require_fitted()
         if self._engine is None:
-            # The fitted embedding's config (not the pipeline config) drives
-            # incremental embedding, so a per-fit kernel override carries
-            # through to online inference on that model.
-            incremental_embedder = ELINEEmbedder(self.embedding.config)
+            # The fitted embedding's config drives incremental embedding;
+            # only the sampler mode is read from this model's config, where
+            # ``with_sampler_mode`` clones change it without a refit.
+            config = self.embedding.config
+            if config.sampler_mode != self.config.sampler_mode:
+                config = replace(config, sampler_mode=self.config.sampler_mode)
             self._engine = OnlineInferenceEngine(
                 self.graph, self.embedding, self.cluster_model,
-                embedder=incremental_embedder,
-                sampler_mode=self.config.sampler_mode)
+                embedder=ELINEEmbedder(config))
         return self._engine
 
     def with_sampler_mode(self, sampler_mode: str) -> "GRAFICS":
@@ -252,8 +237,7 @@ class GRAFICS:
         ``"exact"`` and ``"delta"`` serving on one trained model.
         """
         self._require_fitted()
-        validate_sampler_mode(sampler_mode)
-        clone = GRAFICS(replace(self.config, sampler_mode=sampler_mode))
+        clone = GRAFICS(_with_sampler_mode(self.config, sampler_mode))
         clone.graph = self.graph
         clone.embedding = self.embedding
         clone.clustering = self.clustering

@@ -57,7 +57,7 @@ from ..obs import runtime as obs
 from ..obs.log import log_event
 from .batcher import Batch, MicroBatcher
 from .cache import PredictionCache, fingerprint_key
-from .pool import ComputePool, WorkerCrashError
+from .pool import ComputePool
 from .router import MacInvertedRouter, Router, RoutingDecision
 from .telemetry import ServingTelemetry
 
@@ -377,32 +377,39 @@ class Shard:
                                "before the request was dispatched")
                     return
             records = [record for record, _, _, _ in batch.items]
-            if pool is None:
-                failpoints.fire("serve.compute", building_id=batch.building_id)
-                try:
+            # Every queued request must resolve: any error from the fault
+            # site on (an injected fault, a vanished vocabulary, a dead
+            # worker) rejects this batch and leaves the caller free to
+            # dispatch the rest.  ProcessKilled is a BaseException and
+            # propagates, as a real kill would.
+            try:
+                if pool is None:
+                    failpoints.fire("serve.compute",
+                                    building_id=batch.building_id)
                     with telemetry.time("batch_seconds"):
                         floor_predictions = model.predict_batch(
                             records, independent=True)
-                except UnknownEnvironmentError as error:
-                    reject_all(str(error))
-                    return
-                telemetry.increment("batches_total")
-                telemetry.increment("batched_records_total", len(records))
-            else:
-                # The parent decides the serve.compute hit (keeping the
-                # process-global fault counter deterministic); the worker
-                # computing the batch executes it.  A worker dying mid-batch
-                # surfaces as retryable rejections — never a hang — while
-                # the pool respawns the worker underneath.
-                directives = failpoints.evaluate(
-                    "serve.compute", building_id=batch.building_id)
-                try:
+                    telemetry.increment("batches_total")
+                    telemetry.increment("batched_records_total",
+                                        len(records))
+                else:
+                    # The parent decides the serve.compute hit (keeping the
+                    # process-global fault counter deterministic); the
+                    # worker computing the batch executes it.  A worker
+                    # dying mid-batch surfaces as retryable rejections —
+                    # never a hang — while the pool respawns the worker
+                    # underneath.
+                    directives = failpoints.evaluate(
+                        "serve.compute", building_id=batch.building_id)
                     floor_predictions = pool.compute(batch.building_id, model,
                                                      records,
                                                      directives=directives)
-                except (UnknownEnvironmentError, WorkerCrashError) as error:
-                    reject_all(str(error))
-                    return
+            except Exception as error:
+                log_event("batch_rejected", building_id=batch.building_id,
+                          size=len(records), error_type=type(error).__name__,
+                          error=str(error))
+                reject_all(str(error))
+                return
             telemetry.increment(f"batch_flush_{batch.reason}_total")
             telemetry.increment("predictions_total", len(records))
             with self.lock:
@@ -681,9 +688,7 @@ class FloorServingService:
     def retrain_building(self, dataset: FingerprintDataset,
                          labels: Mapping[str, int],
                          model_path: str | Path | None = None,
-                         warm_start: bool = False,
-                         kernel: str | None = None,
-                         sampler_mode: str | None = None) -> GRAFICS:
+                         warm_start: bool = False) -> GRAFICS:
         """Retrain one building off to the side, then hot-swap it in.
 
         Training holds no lock at all — only the final install takes the
@@ -696,12 +701,8 @@ class FloorServingService:
         currently installed model (nodes surviving the retrain resume from
         their learned vectors) — the continuous-learning path, where
         retrains happen on a sliding window that mostly overlaps the
-        previous one.  ``kernel`` optionally selects the training kernel
-        for this retrain (``"fused"`` halves fit time; the model records
-        the kernel, so its online path keeps using it); ``sampler_mode``
-        likewise selects the cold-path negative-sampler mode (``"delta"``
-        skips the per-predict O(V) alias rebuild) for the installed model's
-        serving traffic.
+        previous one.  The fit kernel and the cold-path sampler mode come
+        from the service's ``grafics_config.embedding``.
         """
         previous_embedding = None
         if warm_start:
@@ -712,8 +713,8 @@ class FloorServingService:
                 previous_embedding = None
         with self.telemetry.time("retrain_seconds"):
             model = fit_model(self.grafics_config, dataset, labels,
-                              warm_start=previous_embedding, kernel=kernel,
-                              sampler_mode=sampler_mode, model_path=model_path)
+                              warm_start=previous_embedding,
+                              model_path=model_path)
         self.install_building(dataset.building_id, model,
                               vocabulary=frozenset(dataset.macs))
         return model

@@ -33,11 +33,10 @@ import threading
 import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core.embedding.kernels import validate_kernel
-from ..core.embedding.sampler import validate_sampler_mode
 from ..core.persistence import _registry_model_filename, fit_model
 from ..core.pipeline import GRAFICS
 from ..faults import failpoints
@@ -107,16 +106,14 @@ class RetrainExecutor:
         Injectable training function ``(job, warm_start_embedding) ->
         GRAFICS`` — tests use it to control job timing and interleaving.
     kernel:
-        Optional training-kernel override for executor-run fits
+        Optional fit kernel for executor-run retrains
         (``"reference"``/``"fused"``, see
-        :mod:`repro.core.embedding.kernels`).  ``None`` keeps the service's
-        configured kernel.  Ignored when a custom ``train`` is injected.
-    sampler_mode:
-        Optional cold-path negative-sampler-mode override recorded on
-        executor-trained models (``"exact"``/``"delta"``, see
-        :class:`~repro.core.embedding.base.EmbeddingConfig`).  ``None``
-        keeps the service's configured mode.  Ignored when a custom
-        ``train`` is injected.
+        :mod:`repro.core.embedding.kernels`), written into the service
+        config's ``embedding.kernel`` for those fits.  ``None`` keeps the
+        service's configured kernel.  The kernel applies to the fit only;
+        the retrained model's online path is the same either way.  Ignored
+        when a custom ``train`` is injected.  The cold-path sampler mode
+        always comes from the service's ``grafics_config``.
     fit_deadline_seconds:
         Wall budget (on the injected clock) for one fit.  A Python thread
         cannot be preempted mid-fit, so the budget is enforced *after* the
@@ -131,20 +128,16 @@ class RetrainExecutor:
                  train: Callable[[RetrainJob, object | None], GRAFICS] | None = None,
                  clock: Callable[[], float] = time.perf_counter,
                  kernel: str | None = None,
-                 sampler_mode: str | None = None,
                  fit_deadline_seconds: float | None = None) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be non-negative")
         if kernel is not None:
             validate_kernel(kernel)
-        if sampler_mode is not None:
-            validate_sampler_mode(sampler_mode)
         if fit_deadline_seconds is not None and fit_deadline_seconds <= 0.0:
             raise ValueError("fit_deadline_seconds must be positive (or None)")
         self.service = service
         self.fit_deadline_seconds = fit_deadline_seconds
         self.kernel = kernel
-        self.sampler_mode = sampler_mode
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self._train = train if train is not None else self._default_train
         self._clock = clock
@@ -264,10 +257,12 @@ class RetrainExecutor:
         if self.model_dir is not None:
             model_path = (self.model_dir
                           / _registry_model_filename(job.building_id))
-        return fit_model(self.service.grafics_config, job.dataset,
-                         job.labels, warm_start=previous_embedding,
-                         kernel=self.kernel, sampler_mode=self.sampler_mode,
-                         model_path=model_path)
+        config = self.service.grafics_config
+        if self.kernel is not None:
+            config = replace(config, embedding=replace(config.embedding,
+                                                       kernel=self.kernel))
+        return fit_model(config, job.dataset, job.labels,
+                         warm_start=previous_embedding, model_path=model_path)
 
     def _execute(self, job: RetrainJob,
                  previous_embedding) -> RetrainCompletion:

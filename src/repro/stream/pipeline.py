@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..core.embedding.kernels import validate_kernel
-from ..core.embedding.sampler import validate_sampler_mode
 from ..core.inference import UnknownEnvironmentError
 from ..core.persistence import (
     CheckpointCorruptError,
@@ -78,19 +77,15 @@ class StreamConfig:
     #: building's retrain no longer stalls the ingest loop — the swap lands
     #: a few ``process`` calls later via ``StreamResult.completed_retrains``.
     retrain_workers: int = 0
-    #: Training kernel for stream retrains (``"reference"``/``"fused"``; see
+    #: Fit kernel for stream retrains (``"reference"``/``"fused"``; see
     #: :mod:`repro.core.embedding.kernels`).  ``None`` (the default) keeps
     #: the service's configured kernel and its byte-identity guarantees;
     #: ``"fused"`` roughly halves retrain time, shrinking hot-swap latency
-    #: and retrain-worker occupancy at tolerance-level embedding differences.
+    #: and retrain-worker occupancy at tolerance-level embedding
+    #: differences.  The retrained models' online path is the same either
+    #: way.  The cold-path sampler mode of retrained models comes from the
+    #: service's ``grafics_config``.
     retrain_kernel: str | None = None
-    #: Cold-path negative-sampler mode recorded on stream-retrained models
-    #: (``"exact"``/``"delta"``; see
-    #: :class:`~repro.core.embedding.base.EmbeddingConfig`).  ``None`` (the
-    #: default) keeps the service's configured mode; ``"delta"`` makes every
-    #: hot-swapped model serve its cold predictions off the composed delta
-    #: sampler instead of per-predict O(V) alias rebuilds.
-    retrain_sampler_mode: str | None = None
     #: Wall budget for one stream retrain fit (see
     #: :class:`~repro.stream.executor.RetrainExecutor`
     #: ``fit_deadline_seconds``): an overrunning fit's result is abandoned
@@ -106,8 +101,6 @@ class StreamConfig:
             # stream loop (where a background worker would just surface error
             # completions and models would silently stop updating).
             validate_kernel(self.retrain_kernel)
-        if self.retrain_sampler_mode is not None:
-            validate_sampler_mode(self.retrain_sampler_mode)
         if (self.retrain_deadline_seconds is not None
                 and self.retrain_deadline_seconds <= 0.0):
             raise ValueError(
@@ -159,7 +152,6 @@ class ContinuousLearningPipeline:
         self.executor = RetrainExecutor(
             service, max_workers=self.config.retrain_workers,
             kernel=self.config.retrain_kernel,
-            sampler_mode=self.config.retrain_sampler_mode,
             fit_deadline_seconds=self.config.retrain_deadline_seconds,
             **clock_kwargs)
         self.scheduler = RetrainScheduler(service, self.windows,
@@ -507,7 +499,12 @@ def _service_descriptor(service) -> dict:
 
 
 def _stream_config_from_payload(payload: dict) -> StreamConfig:
-    """Rebuild a :class:`StreamConfig` from its ``dataclasses.asdict`` form."""
+    """Rebuild a :class:`StreamConfig` from its ``dataclasses.asdict`` form.
+
+    Keys of retired fields in older checkpoints are ignored: the cold-path
+    mode a retired override once set lives on in the checkpointed models'
+    own persisted embedding configs.
+    """
     return StreamConfig(
         window=WindowConfig(**payload["window"]),
         drift=DriftConfig(**payload["drift"]),
@@ -515,10 +512,8 @@ def _stream_config_from_payload(payload: dict) -> StreamConfig:
         buffer_capacity=int(payload["buffer_capacity"]),
         predict=bool(payload["predict"]),
         retrain_workers=int(payload["retrain_workers"]),
-        # Absent in checkpoints written before the kernel / delta-sampler /
-        # failure-domain layers existed; ``.get`` keeps old checkpoints
-        # loadable.
+        # Absent in checkpoints written before the kernel / failure-domain
+        # layers existed; ``.get`` keeps old checkpoints loadable.
         retrain_kernel=payload.get("retrain_kernel"),
-        retrain_sampler_mode=payload.get("retrain_sampler_mode"),
         retrain_deadline_seconds=payload.get("retrain_deadline_seconds"),
     )

@@ -227,12 +227,6 @@ class TestSamplerModePlumbing:
         with pytest.raises(ValueError):
             validate_sampler_mode("bogus")
 
-    def test_grafics_config_override_resolves(self):
-        config = GraficsConfig(sampler_mode="delta")
-        assert config.resolved_embedding_config().sampler_mode == "delta"
-        assert GraficsConfig().resolved_embedding_config().sampler_mode \
-            == "exact"
-
     def test_with_sampler_mode_clone_shares_fitted_state(self):
         dataset = three_story_campus_building(records_per_floor=10, seed=7)
         split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
@@ -241,7 +235,8 @@ class TestSamplerModePlumbing:
         clone = model.with_sampler_mode("delta")
         assert clone is not model
         assert clone.config.sampler_mode == "delta"
-        assert model.config.sampler_mode is None
+        assert clone.config.embedding.sampler_mode == "delta"
+        assert model.config.sampler_mode == "exact"
         assert clone.graph is model.graph
         assert clone.embedding is model.embedding
         with pytest.raises(ValueError):
@@ -253,6 +248,8 @@ class TestSamplerModePlumbing:
         model = GRAFICS(GraficsConfig(allow_unreachable_clusters=True)).fit(
             list(split.train_records), split.labels, sampler_mode="delta")
         assert model.config.sampler_mode == "delta"
+        assert model.embedding.config.sampler_mode == "delta"
+        assert model.engine.embedder.config.sampler_mode == "delta"
 
 
 class TestDeltaModeServing:

@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 
 from repro import GRAFICS, GraficsConfig
-from repro.core.embedding import (
-    ELINEEmbedder,
-    EmbeddingConfig,
-    KERNEL_NAMES,
-    LINEEmbedder,
-    make_kernel,
-)
+from repro.core.embedding import EmbeddingConfig, KERNEL_NAMES, make_kernel
 from repro.core.embedding.trainer import EdgeSamplingTrainer, ObjectiveTerms
 from repro.core.graph import build_graph
 from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, small_test_building
+from repro.obs import runtime as obs
 
 ELINE_TERMS = ObjectiveTerms(second_order=True, symmetric=True)
+
+FUSED_CONFIG = GraficsConfig(embedding=EmbeddingConfig(kernel="fused"),
+                             allow_unreachable_clusters=True)
 
 
 def record(rid, rss):
@@ -56,21 +54,10 @@ class TestKernelSelection:
     def test_default_is_reference(self):
         assert EmbeddingConfig().kernel == "reference"
 
-    def test_embedder_kernel_override(self):
-        embedder = ELINEEmbedder(EmbeddingConfig(), kernel="fused")
-        assert embedder.config.kernel == "fused"
-        line = LINEEmbedder(EmbeddingConfig(), order="second", kernel="fused")
-        assert line.config.kernel == "fused"
-
     def test_trainer_reports_kernel(self, medium_graph):
         config = EmbeddingConfig(seed=0, kernel="fused")
         trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
         assert trainer.kernel_name == "fused"
-
-    def test_grafics_config_kernel_override(self):
-        config = GraficsConfig(kernel="fused")
-        assert config.resolved_embedding_config().kernel == "fused"
-        assert GraficsConfig().resolved_embedding_config().kernel == "reference"
 
 
 def _train(graph, kernel, *, dropout=0.1, seed=0, total_samples=None,
@@ -140,9 +127,11 @@ class TestFusedKernelNumerics:
         assert np.abs(ego_f - ego_r).max() < 0.25
 
     def test_frozen_rows_never_change(self, medium_graph):
+        """Frozen training is the reference kernel's; fused refuses it."""
         trainable = np.zeros(medium_graph.index_capacity, dtype=bool)
         trainable[:3] = True
-        config = EmbeddingConfig(seed=0, kernel="fused", samples_per_edge=50.0)
+        config = EmbeddingConfig(seed=0, kernel="reference",
+                                 samples_per_edge=50.0)
         trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
         ego, context = trainer.initial_embeddings()
         ego_before, context_before = ego.copy(), context.copy()
@@ -151,6 +140,12 @@ class TestFusedKernelNumerics:
         np.testing.assert_array_equal(context[~trainable],
                                       context_before[~trainable])
         assert not np.array_equal(ego[trainable], ego_before[trainable])
+
+        fused = EdgeSamplingTrainer(medium_graph,
+                                    replace(config, kernel="fused"),
+                                    ELINE_TERMS)
+        with pytest.raises(ValueError, match="full tables only"):
+            fused.train(ego, context, trainable=trainable)
 
     def test_training_reduces_loss(self, medium_graph):
         *_, losses, _ = _train(medium_graph, "fused", dropout=0.0,
@@ -183,9 +178,9 @@ class TestFusedKernelNumerics:
 
 class TestEndToEndParity:
     def _accuracy(self, split, kernel):
-        config = GraficsConfig(allow_unreachable_clusters=True)
-        model = GRAFICS(config).fit(list(split.train_records), split.labels,
-                                    kernel=kernel)
+        config = GraficsConfig(embedding=EmbeddingConfig(kernel=kernel),
+                               allow_unreachable_clusters=True)
+        model = GRAFICS(config).fit(list(split.train_records), split.labels)
         probes = [r.without_floor() for r in split.test_records]
         truth = [r.floor for r in split.test_records]
         predictions = model.predict_batch(probes)
@@ -211,14 +206,39 @@ class TestEndToEndParity:
         assert abs(accuracy_fused - accuracy_reference) <= 1.5 / n
 
     def test_fit_kernel_override_recorded(self, preset_split):
-        config = GraficsConfig(allow_unreachable_clusters=True)
-        model = GRAFICS(config).fit(list(preset_split.train_records),
-                                    preset_split.labels, kernel="fused")
+        """The fitted kernel is recorded, but drives the fit only: the
+        online update runs the reference kernel's frozen-subset path."""
+        model = GRAFICS(FUSED_CONFIG).fit(list(preset_split.train_records),
+                                    preset_split.labels)
         assert model.embedding.config.kernel == "fused"
-        # The online-inference engine inherits the fitted kernel.
-        assert model.engine.embedder.config.kernel == "fused"
-        # The pipeline config itself was not mutated.
-        assert config.resolved_embedding_config().kernel == "reference"
+        tracer, _ = obs.enable()
+        try:
+            model.predict(preset_split.test_records[0].without_floor())
+        finally:
+            obs.disable()
+        kernels = [span.attributes["kernel"] for span in tracer.spans()
+                   if span.name == "embed.kernel"]
+        assert kernels == ["reference"]
+
+    def test_online_update_ignores_fit_kernel(self, preset_split):
+        """A fused-fit model predicts byte-identically to the same fitted
+        state relabelled as a reference fit."""
+        fused = GRAFICS(FUSED_CONFIG).fit(list(preset_split.train_records),
+                                          preset_split.labels)
+        relabelled = GRAFICS(FUSED_CONFIG)
+        relabelled.graph = fused.graph
+        relabelled.embedding = replace(
+            fused.embedding,
+            config=replace(fused.embedding.config, kernel="reference"))
+        relabelled.clustering = fused.clustering
+        relabelled.cluster_model = fused.cluster_model
+        for probe in preset_split.test_records[:6]:
+            probe = probe.without_floor()
+            expected = fused.predict(probe)
+            got = relabelled.predict(probe)
+            assert got.floor == expected.floor
+            assert got.distance == expected.distance
+            np.testing.assert_array_equal(got.embedding, expected.embedding)
 
 
 class TestWarmStartVectorisation:
@@ -266,7 +286,7 @@ class TestWarmStartVectorisation:
 
 
 class TestKernelThreading:
-    """kernel= rides through serving and streaming retrain paths."""
+    """The configured kernel rides through serving and streaming retrains."""
 
     def test_serving_retrain_kernel(self, preset_split, tmp_path):
         from repro.core.types import FingerprintDataset
@@ -274,17 +294,16 @@ class TestKernelThreading:
 
         dataset = FingerprintDataset(records=list(preset_split.train_records),
                                      building_id="bldg-a")
-        service = FloorServingService(
-            grafics_config=GraficsConfig(allow_unreachable_clusters=True))
+        service = FloorServingService(grafics_config=FUSED_CONFIG)
         service.fit_building(dataset, preset_split.labels)
         model = service.retrain_building(dataset, preset_split.labels,
-                                         warm_start=True, kernel="fused")
+                                         warm_start=True)
         assert model.embedding.config.kernel == "fused"
         assert service.model_for("bldg-a") is model
         # Round-tripped through persistence the kernel survives.
         path = tmp_path / "bldg-a.npz"
         reloaded = service.retrain_building(dataset, preset_split.labels,
-                                            model_path=path, kernel="fused")
+                                            model_path=path)
         assert reloaded.embedding.config.kernel == "fused"
 
     def test_executor_kernel(self, preset_split):
@@ -328,17 +347,16 @@ class TestKernelThreading:
             RetrainExecutor(service, kernel="fussed")
 
     def test_sharded_retrain_kernel(self, preset_split):
-        """A multi-shard service takes the retrain kernel override too."""
+        """A multi-shard service retrains with its configured kernel too."""
         from repro.core.types import FingerprintDataset
         from repro.serving import ShardedServingService
 
         dataset = FingerprintDataset(records=list(preset_split.train_records),
                                      building_id="bldg-c")
-        service = ShardedServingService(
-            grafics_config=GraficsConfig(allow_unreachable_clusters=True),
-            num_shards=2)
+        service = ShardedServingService(grafics_config=FUSED_CONFIG,
+                                        num_shards=2)
         service.fit_building(dataset, preset_split.labels)
         model = service.retrain_building(dataset, preset_split.labels,
-                                         warm_start=True, kernel="fused")
+                                         warm_start=True)
         assert model.embedding.config.kernel == "fused"
         assert service.model_for("bldg-c") is model

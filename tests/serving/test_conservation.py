@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 from serving_helpers import FakeClock, clone_registry
 
-from repro import SignalRecord
+from repro import SignalRecord, faults
 from repro.core.inference import UnknownEnvironmentError
+from repro.faults import FaultPlan
 from repro.serving import FloorServingService, ServingConfig
 
 ALIEN = SignalRecord(record_id="alien", rss={"mars-ap": -50.0})
@@ -94,4 +95,32 @@ def test_requests_equal_predictions_plus_rejections_plus_pending(
     assert service.pending_count == 0
     assert_conserved(service)
     assert [r.source for r in service.drain()] == ["rejected"]
+    assert_conserved(service)
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_compute_fault_in_dispatch_rejects_the_batch(serving_corpus,
+                                                     num_shards):
+    """A fault at ``serve.compute`` during a micro-batch dispatch rejects
+    that batch; the other released batches are still dispatched."""
+    registry, held_out, _ = serving_corpus
+    service = FloorServingService(registry=clone_registry(registry),
+                                  config=ServingConfig(max_batch_size=100,
+                                                       max_delay_seconds=0.05),
+                                  num_shards=num_shards, clock=FakeClock())
+    queued = held_out["bldg-north"][:2] + held_out["bldg-south"][:2]
+    for record in queued:
+        assert service.submit(record) is None
+    assert_conserved(service)
+
+    plan = FaultPlan(seed=0).fail("serve.compute", hits=[1])
+    with faults.active(plan):
+        results = service.drain()
+    assert plan.fired
+    assert len(results) == len(queued)
+    sources = sorted(r.source for r in results)
+    assert sources == ["batch", "batch", "rejected", "rejected"]
+    assert all("serve.compute" in r.error for r in results
+               if r.source == "rejected")
+    assert service.pending_count == 0
     assert_conserved(service)

@@ -26,9 +26,10 @@ class FakeClock:
         self.now += seconds
 
 
-def train_service(building_ids=("bldg-A",), seed_base=50):
+def train_service(building_ids=("bldg-A",), seed_base=50,
+                  grafics_config=FAST_CONFIG):
     """A FloorServingService with small trained buildings + their splits."""
-    service = FloorServingService(grafics_config=FAST_CONFIG)
+    service = FloorServingService(grafics_config=grafics_config)
     splits = {}
     for offset, building_id in enumerate(building_ids):
         dataset = small_test_building(num_floors=2, records_per_floor=25,

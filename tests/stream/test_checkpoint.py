@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stream_helpers import stream_records, train_service
+from stream_helpers import FAST_CONFIG, stream_records, train_service
 
 from repro import ShardedServingService, StreamConfig
 from repro.core.persistence import load_stream_state, save_stream_state
@@ -196,28 +197,52 @@ class TestCheckpointFormat:
 
 
 class TestStreamConfigCodec:
-    def test_invalid_retrain_sampler_mode_fails_at_construction(self):
-        with pytest.raises(ValueError, match="sampler_mode"):
-            StreamConfig(retrain_sampler_mode="bogus")
+    @pytest.mark.parametrize("legacy_mode", [None, "delta"])
+    def test_legacy_retrain_sampler_mode_checkpoint_resumes(self, tmp_path,
+                                                            legacy_mode):
+        """Checkpoints written while ``StreamConfig`` still carried a
+        ``retrain_sampler_mode`` field load and resume byte-identically.
+        The key is ignored: the mode lives on in the service config and in
+        the checkpointed models' own persisted embedding configs."""
+        grafics_config = FAST_CONFIG
+        if legacy_mode is not None:
+            grafics_config = replace(FAST_CONFIG, embedding=replace(
+                FAST_CONFIG.embedding, sampler_mode=legacy_mode))
+        service_a, splits = train_service(grafics_config=grafics_config)
+        split = splits["bldg-A"]
+        steady = stream_records(split, 80, prefix="steady-", jitter=2.0)
+        churn = churn_stream(split)
+        uninterrupted = ContinuousLearningPipeline(service_a, drift_config())
+        results_full = uninterrupted.process_stream(steady + churn)
 
-    def test_payload_round_trips_retrain_sampler_mode(self):
-        from dataclasses import asdict
+        service_b, _ = train_service(grafics_config=grafics_config)
+        interrupted = ContinuousLearningPipeline(service_b, drift_config())
+        interrupted.process_stream(steady)
+        interrupted.checkpoint(tmp_path / "ckpt")
+        state_file = tmp_path / "ckpt" / "stream_state.json"
+        state = load_stream_state(state_file)
+        state["stream_config"]["retrain_sampler_mode"] = legacy_mode
+        save_stream_state(state, state_file)
 
-        from repro.stream.pipeline import _stream_config_from_payload
-
-        config = StreamConfig(retrain_sampler_mode="delta")
-        rebuilt = _stream_config_from_payload(asdict(config))
-        assert rebuilt == config
-        assert rebuilt.retrain_sampler_mode == "delta"
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        assert resumed.config == drift_config()
+        results_resumed = resumed.process_stream(churn)
+        assert (summarize(results_resumed)
+                == summarize(results_full[len(steady):]))
+        assert resumed.scheduler.retrains_total == 1
+        assert (resumed.service.model_for("bldg-A").config.sampler_mode
+                == (legacy_mode or "exact"))
 
     def test_old_checkpoint_payload_without_key_loads(self):
-        """Checkpoints written before the delta-sampler layer existed have
-        no ``retrain_sampler_mode`` key; they must load with the default."""
+        """Checkpoints written before the kernel and failure-domain layers
+        existed have no ``retrain_kernel`` / ``retrain_deadline_seconds``
+        keys; they must load with the defaults."""
         from dataclasses import asdict
 
         from repro.stream.pipeline import _stream_config_from_payload
 
         payload = asdict(StreamConfig())
-        del payload["retrain_sampler_mode"]
+        del payload["retrain_kernel"]
+        del payload["retrain_deadline_seconds"]
         rebuilt = _stream_config_from_payload(payload)
-        assert rebuilt.retrain_sampler_mode is None
+        assert rebuilt == StreamConfig()

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stream_helpers import FakeClock, stream_records, train_service
+from stream_helpers import (
+    FAST_CONFIG,
+    FakeClock,
+    stream_records,
+    train_service,
+)
 
 from repro.stream import (
     RetrainExecutor,
@@ -362,18 +368,15 @@ class TestFitDeadline:
 
 
 class TestSamplerModeOverride:
-    def test_invalid_sampler_mode_rejected(self, fresh_service):
-        service, _ = fresh_service
-        with pytest.raises(ValueError, match="sampler_mode"):
-            RetrainExecutor(service, sampler_mode="bogus")
-
-    def test_sampler_mode_recorded_on_swapped_model(self, fresh_service):
-        """An executor-level mode override must survive onto the model that
-        serves after the swap — that is how a stream deployment opts its
-        retrained buildings into the delta cold path."""
-        service, splits = fresh_service
+    def test_sampler_mode_recorded_on_swapped_model(self):
+        """The service config's sampler mode must survive onto the model
+        that serves after the swap — that is how a stream deployment opts
+        its retrained buildings into the delta cold path."""
+        delta = replace(FAST_CONFIG, embedding=replace(
+            FAST_CONFIG.embedding, sampler_mode="delta"))
+        service, splits = train_service(grafics_config=delta)
         dataset, labels = window_dataset(splits["bldg-A"])
-        executor = RetrainExecutor(service, sampler_mode="delta")
+        executor = RetrainExecutor(service)
         completion = executor.submit("bldg-A", dataset, labels,
                                      trigger="drift:mac_churn")
         assert completion is not None and completion.swapped
@@ -384,4 +387,4 @@ class TestSamplerModeOverride:
         dataset, labels = window_dataset(splits["bldg-A"])
         executor = RetrainExecutor(service)
         executor.submit("bldg-A", dataset, labels, trigger="drift:mac_churn")
-        assert service.model_for("bldg-A").config.sampler_mode is None
+        assert service.model_for("bldg-A").config.sampler_mode == "exact"
