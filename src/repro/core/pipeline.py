@@ -217,29 +217,25 @@ class GRAFICS:
         """The lazily created online-inference engine."""
         self._require_fitted()
         if self._engine is None:
-            # The fitted embedding's config drives incremental embedding;
-            # only the sampler mode is read from this model's config, where
-            # ``with_sampler_mode`` clones change it without a refit.
-            config = self.embedding.config
-            if config.sampler_mode != self.config.sampler_mode:
-                config = replace(config, sampler_mode=self.config.sampler_mode)
             self._engine = OnlineInferenceEngine(
                 self.graph, self.embedding, self.cluster_model,
-                embedder=ELINEEmbedder(config))
+                embedder=ELINEEmbedder(self.embedding.config))
         return self._engine
 
     def with_sampler_mode(self, sampler_mode: str) -> "GRAFICS":
         """A view of this fitted model with a different cold-path sampler mode.
 
-        The clone shares the graph, embedding and cluster model (no refit —
-        offline training is unaffected by the sampler mode); only its
-        online-inference engine differs.  Useful for A/B-comparing
-        ``"exact"`` and ``"delta"`` serving on one trained model.
+        The clone shares the graph, embedding arrays and cluster model (no
+        refit — offline training is unaffected by the sampler mode); only
+        the mode recorded in its configs, and so its online-inference
+        engine, differs.  Useful for A/B-comparing ``"exact"`` and
+        ``"delta"`` serving on one trained model.
         """
         self._require_fitted()
         clone = GRAFICS(_with_sampler_mode(self.config, sampler_mode))
         clone.graph = self.graph
-        clone.embedding = self.embedding
+        clone.embedding = replace(self.embedding, config=replace(
+            self.embedding.config, sampler_mode=sampler_mode))
         clone.clustering = self.clustering
         clone.cluster_model = self.cluster_model
         return clone

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import shutil
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from ..core.embedding.kernels import validate_kernel
@@ -408,14 +408,22 @@ class ContinuousLearningPipeline:
                      filters: list[QualityFilter] | None = None,
                      ) -> "ContinuousLearningPipeline":
         state = load_stream_state(directory / _CHECKPOINT_STATE_FILE)
+        # Checkpoints written while StreamConfig carried a
+        # ``retrain_sampler_mode`` override: that mode steered every stream
+        # retrain, so it becomes the rebuilt service's mode.
+        legacy_mode = (state["stream_config"].get("retrain_sampler_mode")
+                       if config is None else None)
         if config is None:
             config = _stream_config_from_payload(state["stream_config"])
         if service is None:
             descriptor = state["service"]
-            registry = load_registry(
-                directory / _CHECKPOINT_REGISTRY_DIR,
-                config=grafics_config_from_payload(
-                    descriptor["grafics_config"]))
+            grafics_config = grafics_config_from_payload(
+                descriptor["grafics_config"])
+            if legacy_mode is not None:
+                grafics_config = replace(grafics_config, embedding=replace(
+                    grafics_config.embedding, sampler_mode=legacy_mode))
+            registry = load_registry(directory / _CHECKPOINT_REGISTRY_DIR,
+                                     config=grafics_config)
             # Checkpoints written before the services were unified
             # describe a one-lock service as {"kind": "single"} with no
             # shard count: that is a 1-shard service.
@@ -501,9 +509,9 @@ def _service_descriptor(service) -> dict:
 def _stream_config_from_payload(payload: dict) -> StreamConfig:
     """Rebuild a :class:`StreamConfig` from its ``dataclasses.asdict`` form.
 
-    Keys of retired fields in older checkpoints are ignored: the cold-path
-    mode a retired override once set lives on in the checkpointed models'
-    own persisted embedding configs.
+    Keys of retired fields in older checkpoints are ignored here; a legacy
+    ``retrain_sampler_mode`` is folded into the rebuilt service's config by
+    :meth:`ContinuousLearningPipeline.resume`.
     """
     return StreamConfig(
         window=WindowConfig(**payload["window"]),

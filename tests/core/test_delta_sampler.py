@@ -238,7 +238,10 @@ class TestSamplerModePlumbing:
         assert clone.config.embedding.sampler_mode == "delta"
         assert model.config.sampler_mode == "exact"
         assert clone.graph is model.graph
-        assert clone.embedding is model.embedding
+        assert clone.embedding.ego is model.embedding.ego
+        assert clone.embedding.context is model.embedding.context
+        assert clone.embedding.config.sampler_mode == "delta"
+        assert model.embedding.config.sampler_mode == "exact"
         with pytest.raises(ValueError):
             model.with_sampler_mode("bogus")
 

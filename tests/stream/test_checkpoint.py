@@ -201,21 +201,23 @@ class TestStreamConfigCodec:
     def test_legacy_retrain_sampler_mode_checkpoint_resumes(self, tmp_path,
                                                             legacy_mode):
         """Checkpoints written while ``StreamConfig`` still carried a
-        ``retrain_sampler_mode`` field load and resume byte-identically.
-        The key is ignored: the mode lives on in the service config and in
-        the checkpointed models' own persisted embedding configs."""
-        grafics_config = FAST_CONFIG
+        ``retrain_sampler_mode`` override load and resume byte-identically.
+        The override steered every stream retrain, so a non-null value
+        becomes the rebuilt service's mode while the checkpointed models
+        keep their own."""
+        service_a, splits = train_service()
         if legacy_mode is not None:
-            grafics_config = replace(FAST_CONFIG, embedding=replace(
+            # The uninterrupted node: exact-fit models, stream retrains in
+            # the legacy mode (what the retired override did).
+            service_a.grafics_config = replace(FAST_CONFIG, embedding=replace(
                 FAST_CONFIG.embedding, sampler_mode=legacy_mode))
-        service_a, splits = train_service(grafics_config=grafics_config)
         split = splits["bldg-A"]
         steady = stream_records(split, 80, prefix="steady-", jitter=2.0)
         churn = churn_stream(split)
         uninterrupted = ContinuousLearningPipeline(service_a, drift_config())
         results_full = uninterrupted.process_stream(steady + churn)
 
-        service_b, _ = train_service(grafics_config=grafics_config)
+        service_b, _ = train_service()
         interrupted = ContinuousLearningPipeline(service_b, drift_config())
         interrupted.process_stream(steady)
         interrupted.checkpoint(tmp_path / "ckpt")
@@ -230,8 +232,11 @@ class TestStreamConfigCodec:
         assert (summarize(results_resumed)
                 == summarize(results_full[len(steady):]))
         assert resumed.scheduler.retrains_total == 1
+        expected_mode = legacy_mode or "exact"
         assert (resumed.service.model_for("bldg-A").config.sampler_mode
-                == (legacy_mode or "exact"))
+                == expected_mode)
+        assert (service_a.model_for("bldg-A").config.sampler_mode
+                == expected_mode)
 
     def test_old_checkpoint_payload_without_key_loads(self):
         """Checkpoints written before the kernel and failure-domain layers
