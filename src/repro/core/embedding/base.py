@@ -10,7 +10,6 @@ import numpy as np
 
 from ..graph import BipartiteGraph
 from .kernels import validate_kernel
-from .sampler import validate_sampler_mode
 
 __all__ = ["EmbeddingConfig", "GraphEmbedding", "GraphEmbedder"]
 
@@ -53,14 +52,6 @@ class EmbeddingConfig:
         tolerance-equivalent to the reference).  The frozen online update
         of new records always runs the reference kernel's frozen-subset
         path, whatever kernel the model was fitted with.
-    sampler_mode:
-        Negative-sampler construction on overlay graphs (the per-prediction
-        cold path): ``"exact"`` (default; rebuild the full alias table,
-        byte-identical to the historical path) or ``"delta"`` (compose the
-        base graph's cached sampler with the overlay's staged delta — the
-        same noise distribution exactly, but a different RNG consumption
-        order, so predictions are equal in accuracy rather than bytes).
-        Ordinary (non-overlay) fits are unaffected by this setting.
     """
 
     dimension: int = 8
@@ -73,7 +64,6 @@ class EmbeddingConfig:
     init_scale: float = 0.5
     seed: int | None = 0
     kernel: str = "reference"
-    sampler_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -89,7 +79,6 @@ class EmbeddingConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         validate_kernel(self.kernel)
-        validate_sampler_mode(self.sampler_mode)
 
 
 @dataclass

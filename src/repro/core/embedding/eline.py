@@ -106,9 +106,10 @@ class ELINEEmbedder(GraphEmbedder):
         prediction never reads — it looks up the new rows by index).
         ``graph`` may be the mutated base graph or a
         :class:`~repro.core.overlay.GraphOverlay` presenting the staged
-        records over a frozen base; both produce bit-identical results
-        because every composed overlay view matches the mutated graph's and
-        the RNG is consumed in the same order either way.  ``edge_scratch``
+        records over a frozen base.  Both train on the same positive edges
+        and the same negative-sampling distribution; the overlay composes
+        its negative sampler from the base graph's cached parts, so its draw
+        sequence differs from the mutated graph's.  ``edge_scratch``
         optionally carries an :class:`~repro.core.graph.EdgeArrayScratch`
         reused across consecutive same-shaped calls (the serving engine's
         per-thread buffers); results are identical with or without it.

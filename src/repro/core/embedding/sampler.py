@@ -22,23 +22,8 @@ import numpy as np
 from ...obs import runtime as obs
 
 __all__ = ["AliasTable", "EdgeSampler", "NegativeSampler",
-           "DeltaNegativeSampler", "SamplerCache", "SAMPLER_MODES",
-           "unigram_power_distribution", "validate_sampler_mode"]
-
-#: Legal values of ``EmbeddingConfig.sampler_mode``: ``"exact"`` keeps the
-#: byte-identical per-predict rebuild of the overlay negative sampler,
-#: ``"delta"`` opts into the composed :class:`DeltaNegativeSampler` (same
-#: per-index probabilities, different RNG consumption).
-SAMPLER_MODES = ("exact", "delta")
-
-
-def validate_sampler_mode(mode: str) -> str:
-    """Validate a negative-sampling mode name; returns it unchanged."""
-    if mode not in SAMPLER_MODES:
-        raise ValueError(
-            f"unknown sampler_mode {mode!r}; expected one of "
-            + ", ".join(repr(known) for known in SAMPLER_MODES))
-    return mode
+           "DeltaNegativeSampler", "SamplerCache",
+           "unigram_power_distribution"]
 
 
 class AliasTable:
@@ -212,6 +197,12 @@ class NegativeSampler:
         live = np.flatnonzero(weights > 0)
         if live.size == 0:
             raise ValueError("cannot build a NegativeSampler: all degrees are zero")
+        #: The full-length ``d^power`` vector over the index space and its
+        #: sum (read-only).  :class:`DeltaNegativeSampler` reuses the
+        #: unpatched entries verbatim, which is what makes its composed
+        #: probabilities bit-identical to a full rebuild's.
+        self.weights = weights
+        self.total = float(weights.sum())
         self._live = live
         # With no zero-degree slots (the offline training case) the live map
         # is the identity; skip the remap gather on the sampling hot path.
@@ -248,10 +239,11 @@ class DeltaNegativeSampler:
     unigram-weight recompute plus an O(V) Walker pairing on *every* cold
     prediction, even though the overlay only changes a handful of degrees
     (the staged nodes and the boundary MACs they attach to).  This sampler
-    reuses the base graph's version-cached alias table and unigram weight
-    vector and builds a tiny alias table over only the overlay-affected
-    indices, then samples the exact composed distribution
-    ``Pr(z) ∝ d_z^power`` via a weighted two-level mixture:
+    reuses the base graph's version-cached :class:`NegativeSampler` (its
+    alias table and unigram weight vector) and builds a tiny alias table
+    over only the overlay-affected indices, then samples the exact
+    composed distribution ``Pr(z) ∝ d_z^power`` via a weighted two-level
+    mixture:
 
     * with probability ``W_base' / W`` draw from the base table, reject-
       redrawing any patched index (their base weight mass is exactly the
@@ -262,12 +254,11 @@ class DeltaNegativeSampler:
 
     The composed per-index probabilities equal a full rebuild's
     :attr:`AliasTable.probabilities` bit for bit (hypothesis-enforced via
-    :attr:`probabilities`), but the RNG *consumption* differs from the
-    rebuild — hence the explicit ``sampler_mode="delta"`` opt-in.
+    :attr:`probabilities`); the RNG *consumption* differs from a rebuild's,
+    so it is the distribution, not the draw sequence, that is contracted.
     """
 
     def __init__(self, overlay, base_sampler: NegativeSampler,
-                 base_weights: np.ndarray, base_total: float,
                  power: float = 0.75,
                  patch: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         if patch is None:
@@ -276,7 +267,8 @@ class DeltaNegativeSampler:
         base_capacity = overlay.base_capacity
         self._capacity = int(overlay.index_capacity)
         self._base_sampler = base_sampler
-        self._base_weights = base_weights
+        self._base_weights = base_weights = base_sampler.weights
+        base_total = base_sampler.total
         self._patch_indices = indices
         self._patch_weights = unigram_power_distribution(degrees, power=power)
 
@@ -287,7 +279,7 @@ class DeltaNegativeSampler:
         # complement keeps an O(draws) invert off the sampling hot path.
         self._unpatched = ~self._patched
         patched_base = base_weights[boundary]
-        base_mass = float(base_total) - float(patched_base.sum())
+        base_mass = base_total - float(patched_base.sum())
         if np.count_nonzero(patched_base > 0) >= base_sampler.live_count:
             # Every live base index is patched: the base branch must be
             # unreachable (the rejection loop could never terminate), and
@@ -297,8 +289,8 @@ class DeltaNegativeSampler:
         # Weighted acceptance rate of the rejection loop: the fraction of
         # base-table mass that is *not* patched.  Sizes the oversampled
         # one-shot draw in :meth:`_sample_base`.
-        self._base_accept = (self._base_mass / float(base_total)
-                             if float(base_total) > 0.0 else 0.0)
+        self._base_accept = (self._base_mass / base_total
+                             if base_total > 0.0 else 0.0)
 
         live = np.flatnonzero(self._patch_weights > 0)
         self._delta_indices = indices[live]
@@ -395,12 +387,6 @@ class DeltaNegativeSampler:
         return out
 
 
-def _unigram_entry(graph) -> tuple[np.ndarray, float]:
-    """The ``(weights, total)`` pair :meth:`SamplerCache.unigram_weights` caches."""
-    weights = unigram_power_distribution(graph.degree_array())
-    return weights, float(weights.sum())
-
-
 class SamplerCache:
     """Reuses :class:`EdgeSampler`/:class:`NegativeSampler` per graph version.
 
@@ -414,13 +400,15 @@ class SamplerCache:
     alias tables instead of re-running the O(V+E) builds.  Online
     inference stages its probe records on a ``GraphOverlay`` instead of
     mutating the graph, so the graph's version — and therefore any entry
-    cached here — survives arbitrarily many ``persist=False`` predictions;
-    the overlay's own per-predict samplers are deliberately not cached
-    (ephemeral views, one per prediction).  In ``sampler_mode="delta"`` the
-    overlay path instead *composes* its negative sampler from the base
-    graph's cached table and unigram weight vector
-    (:meth:`delta_negative_sampler`), shrinking the per-predict build to
-    the staged delta.
+    cached here — survives arbitrarily many ``persist=False`` predictions.
+    An overlay (an ephemeral view, one per prediction) is never a cache
+    key itself: its negative sampler is *composed* from the base graph's
+    cached negative sampler (:meth:`delta_negative_sampler`), shrinking
+    the per-predict build to the staged delta, and its restricted edge
+    sampler is memoised under the base graph's entry
+    (:meth:`restricted_edge_sampler`).  Cold predicts therefore only read
+    an entry a fit in this process already populated; a loaded or
+    unpickled model's first cold predict adds the base negative sampler.
 
     Lookups take a short global lock; sampler construction itself happens
     outside it, so concurrent builds for different graphs (sharded serving)
@@ -490,18 +478,6 @@ class SamplerCache:
         return self._get(graph, "negative",
                          lambda: NegativeSampler(graph.degree_array()))
 
-    def unigram_weights(self, graph) -> tuple[np.ndarray, float]:
-        """Cached ``(weights, total)`` of the graph's noise distribution.
-
-        ``weights`` is the full-length ``d^0.75`` vector over the graph's
-        dense index space and ``total`` its sum; both are cached per graph
-        version like the samplers (treat the array as read-only).  The
-        delta-composed sampler reuses the unpatched entries verbatim, which
-        is what makes its composed probabilities bit-identical to a full
-        rebuild's.
-        """
-        return self._get(graph, "unigram", lambda: _unigram_entry(graph))
-
     #: Bound on memoised delta compositions kept per base-graph version.
     #: Sized to cover a serving fleet cycling through a working set of
     #: repeated probes; overflow clears the memo (the parts it composes
@@ -513,12 +489,15 @@ class SamplerCache:
                                 weights: np.ndarray) -> EdgeSampler:
         """Memoised :class:`EdgeSampler` over restricted incident edges.
 
-        Keyed by the edge-array *content* (and the base graph's version via
-        the entry), so a re-predicted record — whose staged overlay yields
-        byte-identical restricted arrays — skips the alias build.  The
-        sampler is built over private copies: callers routinely pass
-        scratch-buffer views that the next prediction overwrites in place.
-        Delta-mode only; the exact mode never reaches this path.
+        ``base`` is the graph whose cache entry holds the memo: an
+        overlay's base graph, or the graph itself when the restricted
+        trainer runs on a plain (mutated) graph.  Keyed by the edge-array
+        *content* (and ``base``'s version via the entry), so a re-predicted
+        record — whose staged overlay yields byte-identical restricted
+        arrays — skips the alias build; a hit is byte-identical to a fresh
+        ``EdgeSampler`` over the same arrays.  The sampler is built over
+        private copies: callers routinely pass scratch-buffer views that
+        the next prediction overwrites in place.
         """
         key = (sources.tobytes(), targets.tobytes(), weights.tobytes())
         with self._lock:
@@ -542,19 +521,20 @@ class SamplerCache:
     def delta_negative_sampler(self, overlay) -> DeltaNegativeSampler:
         """Compose the overlay's staged delta with its base's cached parts.
 
-        The base negative sampler and unigram weight vector come from this
-        cache (built on first use per base-graph version); only the tiny
-        delta table over the overlay-affected indices is constructed per
-        call.  Identical staged deltas (the same record re-predicted, a
-        fleet replaying a probe working set) skip even that: finished
+        The base negative sampler (with its unigram weight vector) comes
+        from this cache (built on first use per base-graph version); only
+        the tiny delta table over the overlay-affected indices is
+        constructed per call.  Identical staged deltas (the same record
+        re-predicted, a fleet replaying a probe working set) skip even
+        that: finished
         compositions are memoised per base-graph version, keyed by the
         patch content, and a :class:`DeltaNegativeSampler` is immutable
         after construction, so sharing one across predictions (and
         threads) is exact — every draw depends only on the caller's RNG.
         ``delta_sampler_hits_total`` counts compositions fully served from
-        cache (memoised or composed from cached base parts),
-        ``delta_sampler_rebuilds_total`` those that had to (re)build a
-        base part first.
+        cache (memoised or composed from the cached base sampler),
+        ``delta_sampler_rebuilds_total`` those that had to (re)build the
+        base sampler first.
         """
         base = overlay.base
         indices, degrees = overlay.delta_degree_patch()
@@ -569,15 +549,11 @@ class SamplerCache:
                     obs.metric_increment("sampler_cache_hits_total")
                     obs.metric_increment("delta_sampler_hits_total")
                     return memoised
-        sampler, sampler_hit = self._get_with_state(
+        sampler, hit = self._get_with_state(
             base, "negative", lambda: NegativeSampler(base.degree_array()))
-        (weights, total), unigram_hit = self._get_with_state(
-            base, "unigram", lambda: _unigram_entry(base))
-        if sampler_hit and unigram_hit:
-            obs.metric_increment("delta_sampler_hits_total")
-        else:
-            obs.metric_increment("delta_sampler_rebuilds_total")
-        composed = DeltaNegativeSampler(overlay, sampler, weights, total,
+        obs.metric_increment("delta_sampler_hits_total" if hit
+                             else "delta_sampler_rebuilds_total")
+        composed = DeltaNegativeSampler(overlay, sampler,
                                         patch=(indices, degrees))
         with self._lock:
             current = self._entries.get(base)

@@ -87,10 +87,13 @@ class EdgeSamplingTrainer:
             objective only contains terms for their own incident edges).
             Negative samples are still drawn from the full graph.
         use_sampler_cache:
-            Reuse alias samplers previously built for the same graph at the
-            same :attr:`BipartiteGraph.version` (default).  Samplers are
-            immutable once built, so a cache hit is byte-identical to a fresh
-            construction; disable only to benchmark or test the cold path.
+            Reuse the full-graph alias samplers previously built for the
+            same graph at the same :attr:`BipartiteGraph.version` (default).
+            Samplers are immutable once built, so a cache hit is
+            byte-identical to a fresh construction; disable only to
+            benchmark or test the cold path.  Restricted edge samplers are
+            always memoised by content, and overlays always compose their
+            negative sampler from the base graph's cached parts.
         edge_scratch:
             Optional :class:`~repro.core.graph.EdgeArrayScratch` reused for
             the restricted incident-edge arrays across consecutive trainers
@@ -105,14 +108,12 @@ class EdgeSamplingTrainer:
         self.terms = terms
         # Overlay views are ephemeral (one per online prediction) and have
         # no mutation-versioned identity of their own; caching samplers
-        # against them would only churn the cache.  In "delta" mode their
-        # negative sampler is instead *composed* from the base graph's
-        # cached sampler plus the staged delta — same distribution, no
-        # O(V) rebuild.
-        delta_negatives = False
-        if getattr(graph, "is_overlay", False):
+        # against them would only churn the cache.  Their negative sampler
+        # is instead *composed* from the base graph's cached sampler plus
+        # the staged delta — same distribution, no O(V) rebuild.
+        overlay = getattr(graph, "is_overlay", False)
+        if overlay:
             use_sampler_cache = False
-            delta_negatives = config.sampler_mode == "delta"
         with obs.span("embed.alias_build") as alias_span:
             if restrict_to_nodes is None:
                 if use_sampler_cache:
@@ -128,35 +129,32 @@ class EdgeSamplingTrainer:
                 if sources.size == 0:
                     raise ValueError("restrict_to_nodes selects no edges; "
                                      "the nodes are isolated")
-                if delta_negatives:
-                    # Delta mode: a re-predicted record stages an identical
-                    # delta, so the restricted arrays — and the sampler over
-                    # them — recur byte for byte; memoise by content.
-                    self._edge_sampler = _SAMPLER_CACHE.restricted_edge_sampler(
-                        graph.base, sources, targets, weights)
-                else:
-                    self._edge_sampler = EdgeSampler(sources, targets, weights)
+                # A re-predicted record stages an identical delta, so the
+                # restricted arrays — and the sampler over them — recur byte
+                # for byte; memoise by content under the underlying graph.
+                self._edge_sampler = _SAMPLER_CACHE.restricted_edge_sampler(
+                    graph.base if overlay else graph, sources, targets,
+                    weights)
             self._num_sampled_edges = self._edge_sampler.num_edges
-            if use_sampler_cache:
-                self._negative_sampler = _SAMPLER_CACHE.negative_sampler(graph)
-            elif delta_negatives:
+            if overlay:
                 self._negative_sampler = (
                     _SAMPLER_CACHE.delta_negative_sampler(graph))
+            elif use_sampler_cache:
+                self._negative_sampler = _SAMPLER_CACHE.negative_sampler(graph)
             else:
                 self._negative_sampler = NegativeSampler(graph.degree_array())
             alias_span.set("edges", self._num_sampled_edges)
             alias_span.set("cached", use_sampler_cache)
-            alias_span.set("negatives",
-                           "delta" if delta_negatives else "full")
+            alias_span.set("negatives", "delta" if overlay else "full")
         self._rng = np.random.default_rng(config.seed)
         self._kernel = make_kernel(config.kernel)
-        # In "delta" mode the RNG stream is not contracted (only the sampled
+        # On overlays the RNG stream is not contracted (only the sampled
         # distribution is), so the per-batch draws are served as row slices
         # of one pooled draw per run — the composed mixture's fixed numpy
         # costs (coins, rejection filter, scatter) are paid once instead of
-        # once per batch.  "exact" mode keeps strict per-batch draws: its
-        # contract is byte-identical RNG consumption.
-        self._pooled_draws = delta_negatives
+        # once per batch.  Plain graphs keep strict per-batch draws, which
+        # fixes every fit's RNG consumption.
+        self._pooled_draws = overlay
         self._positive_pool: tuple[np.ndarray, np.ndarray] | None = None
         self._negative_pool: np.ndarray | None = None
         self._pool_used = 0
@@ -303,15 +301,15 @@ class EdgeSamplingTrainer:
         return self._kernel_step(ego, context, heads, tails, negatives, lr,
                                  trainable, batch)
 
-    #: Upper bound on pooled-draw rows per refill (memory guard; delta-mode
-    #: online runs are ~1e3 examples, far below it).
+    #: Upper bound on pooled-draw rows per refill (memory guard; online
+    #: runs are ~1e3 examples, far below it).
     _POOL_ROW_CAP = 1 << 16
 
     def _sample_batch(self, batch: int) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
         """Draw one batch of positive edges and their negative samples.
 
-        With pooled draws enabled (delta sampler mode) the batch is a row
+        With pooled draws enabled (overlay graphs) the batch is a row
         slice of one bulk draw covering the whole run; the slices partition
         the pool, so examples are i.i.d. exactly as if drawn per batch.
         """

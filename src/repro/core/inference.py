@@ -17,9 +17,12 @@ leaves the graph's version counter (and every cache keyed on it) untouched,
 and concurrent predictions against one model need no mutual exclusion.
 ``persist=True`` commits the overlay's staged delta onto the graph, which
 reproduces exactly the state the historical mutate-in-place path built.
-Either way the predictions are byte-identical to that historical path
-(test-enforced): every composed overlay view matches the mutated graph's
-bit for bit, so the embedding RNG is consumed in the same order.
+Both run the same overlay embedding, so they predict byte-identically to
+each other (test-enforced).  Against that historical path, the sampler
+inputs are equal bit for bit — positive edge arrays and negative-sampling
+probabilities — while the draw sequence differs, because the negative
+sampler is composed from the base graph's cached table instead of being
+rebuilt per prediction.
 
 A sample whose MAC addresses are *all* unseen carries no information that
 connects it to the building; the paper discards such samples as likely
@@ -76,8 +79,7 @@ class OnlineInferenceEngine:
     cluster_model:
         The nearest-centroid floor classifier from the offline clustering.
     embedder:
-        The embedder used for the incremental (frozen) embedding step; its
-        config also selects the per-prediction negative sampler.
+        The embedder used for the incremental (frozen) embedding step.
     """
 
     def __init__(self, graph: BipartiteGraph, embedding: GraphEmbedding,

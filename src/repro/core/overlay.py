@@ -14,9 +14,11 @@ without touching the base graph.  Staged records (and the MAC nodes they
 introduce) are allocated dense indices *past* the base graph's
 ``index_capacity``, and every composed view — incident-edge arrays, the
 weighted degree array, index maps — is built from base + delta exactly as
-the mutated graph would have built it, bit for bit (test-enforced), so the
-embedding trainer consumes its RNG in precisely the same order and online
-predictions stay byte-identical to the historical mutating path.
+the mutated graph would have built it, bit for bit (test-enforced).  The
+embedding trainer therefore optimises exactly the objective the historical
+mutating path did: the same positive edges, and a negative sampler composed
+from the base graph's cached table whose per-index probabilities equal a
+full rebuild's.
 
 ``persist=True`` predictions become an explicit :meth:`GraphOverlay.commit`:
 the staged records are replayed onto the base graph in staging order, which

@@ -151,13 +151,21 @@ def grafics_config_to_payload(config: GraficsConfig) -> dict:
 
 
 def grafics_config_from_payload(payload: dict) -> GraficsConfig:
-    """Rebuild a GRAFICS configuration written by the payload writer."""
+    """Rebuild a GRAFICS configuration written by the payload writer.
+
+    Payloads written while the online negative sampler was selectable
+    carry an ``embedding.sampler_mode`` key (``"exact"`` or ``"delta"``);
+    it is dropped, since every model now runs the one delta-composed
+    sampler.
+    """
+    embedding = dict(payload["embedding"])
+    embedding.pop("sampler_mode", None)
     return GraficsConfig(
         embedding_dimension=payload["embedding_dimension"],
         embedder=payload["embedder"],
         allow_unreachable_clusters=payload["allow_unreachable_clusters"],
         weight_function=_weight_function_from_dict(payload["weight_function"]),
-        embedding=EmbeddingConfig(**payload["embedding"]),
+        embedding=EmbeddingConfig(**embedding),
     )
 
 

@@ -55,10 +55,8 @@ class GraficsConfig:
         Edge weight function (paper default: ``f(RSS) = RSS + 120``).
     embedding:
         Full embedding hyperparameters, including the fit kernel
-        (``embedding.kernel``) and the online cold path's negative-sampler
-        mode (``embedding.sampler_mode``).  ``embedding_dimension``
-        overrides the dimension stored here so the common case needs a
-        single knob.
+        (``embedding.kernel``).  ``embedding_dimension`` overrides the
+        dimension stored here so the common case needs a single knob.
     allow_unreachable_clusters:
         Forwarded to :class:`ProximityClustering`.
     """
@@ -71,8 +69,11 @@ class GraficsConfig:
 
     @property
     def sampler_mode(self) -> str:
-        """The online cold path's negative-sampler mode (read-only)."""
-        return self.embedding.sampler_mode
+        """Always ``"delta"``: the online cold path has one negative sampler.
+
+        Kept read-only for callers written when the sampler was selectable.
+        """
+        return "delta"
 
     def resolved_embedding_config(self) -> EmbeddingConfig:
         """The embedding config with ``embedding_dimension`` applied."""
@@ -96,10 +97,12 @@ class GraficsConfig:
                          "'eline', 'line', 'line-first', 'line-combined'")
 
 
-def _with_sampler_mode(config: GraficsConfig,
-                       sampler_mode: str) -> GraficsConfig:
-    return replace(config, embedding=replace(config.embedding,
-                                             sampler_mode=sampler_mode))
+def _check_sampler_mode(sampler_mode: str) -> None:
+    """Reject every retired negative-sampler mode (only ``"delta"`` remains)."""
+    if sampler_mode != "delta":
+        raise ValueError(
+            f"sampler_mode {sampler_mode!r} is not available: the exact "
+            "negative sampler was retired; 'delta' is the only sampler")
 
 
 class GRAFICS:
@@ -141,11 +144,12 @@ class GRAFICS:
             next.  Clustering and inference are unaffected beyond the
             embedding initialisation.
         sampler_mode:
-            Optional negative-sampler mode (``"exact"`` / ``"delta"``)
-            written into the model's ``embedding.sampler_mode``.  The fit
-            itself is unaffected (offline training never sees an overlay);
-            the mode drives this model's online cold path.
+            ``None`` or ``"delta"``, the only online negative sampler;
+            accepted for callers written when the sampler was selectable.
+            Any other value raises :class:`ValueError`.
         """
+        if sampler_mode is not None:
+            _check_sampler_mode(sampler_mode)
         record_list = list(records.records if isinstance(records, FingerprintDataset)
                            else records)
         if not record_list:
@@ -162,8 +166,6 @@ class GRAFICS:
                 f"labels reference records that are not in the training set: "
                 f"{sorted(missing)[:5]}")
 
-        if sampler_mode is not None and self.config.sampler_mode != sampler_mode:
-            self.config = _with_sampler_mode(self.config, sampler_mode)
         with obs.span("fit") as fit_span:
             fit_span.set("records", len(record_list))
             fit_span.set("labels", len(labels))
@@ -223,19 +225,18 @@ class GRAFICS:
         return self._engine
 
     def with_sampler_mode(self, sampler_mode: str) -> "GRAFICS":
-        """A view of this fitted model with a different cold-path sampler mode.
+        """A clone of this fitted model; ``sampler_mode`` must be ``"delta"``.
 
-        The clone shares the graph, embedding arrays and cluster model (no
-        refit — offline training is unaffected by the sampler mode); only
-        the mode recorded in its configs, and so its online-inference
-        engine, differs.  Useful for A/B-comparing ``"exact"`` and
-        ``"delta"`` serving on one trained model.
+        Kept for callers written when the cold-path sampler was selectable.
+        The clone shares the graph, embedding and cluster model (no refit)
+        and has its own online-inference engine, so it predicts exactly
+        like this model.  Any other mode raises :class:`ValueError`.
         """
         self._require_fitted()
-        clone = GRAFICS(_with_sampler_mode(self.config, sampler_mode))
+        _check_sampler_mode(sampler_mode)
+        clone = GRAFICS(self.config)
         clone.graph = self.graph
-        clone.embedding = replace(self.embedding, config=replace(
-            self.embedding.config, sampler_mode=sampler_mode))
+        clone.embedding = self.embedding
         clone.clustering = self.clustering
         clone.cluster_model = self.cluster_model
         return clone

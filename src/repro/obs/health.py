@@ -407,8 +407,8 @@ class HealthMonitor:
         Reads the process-global runtime counters: compositions fully served
         from the cached base sampler/weights count as hits, compositions
         that had to (re)build a base part as rebuilds.  A low hit rate means
-        the base graph is churning under the cold path (delta mode is
-        paying exact-mode prices); that is worth surfacing, but it is a
+        the base graph is churning under the cold path (cold predicts keep
+        paying the O(V) base builds); that is worth surfacing, but it is a
         performance observation, not a correctness problem — the reason is
         ``"info"`` severity and never moves a verdict.
         """

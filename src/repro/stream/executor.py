@@ -112,8 +112,7 @@ class RetrainExecutor:
         config's ``embedding.kernel`` for those fits.  ``None`` keeps the
         service's configured kernel.  The kernel applies to the fit only;
         the retrained model's online path is the same either way.  Ignored
-        when a custom ``train`` is injected.  The cold-path sampler mode
-        always comes from the service's ``grafics_config``.
+        when a custom ``train`` is injected.
     fit_deadline_seconds:
         Wall budget (on the injected clock) for one fit.  A Python thread
         cannot be preempted mid-fit, so the budget is enforced *after* the

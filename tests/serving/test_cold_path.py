@@ -11,7 +11,8 @@ must preserve:
 * a prediction computed against a model that was swapped out mid-flight is
   still returned but never cached (the stale-put guard);
 * serving-path predictions leave the model graph's version untouched, so
-  the version-keyed sampler cache survives cold traffic.
+  the version-keyed sampler cache survives cold traffic (cold predicts
+  only read it).
 """
 
 from __future__ import annotations
@@ -232,20 +233,27 @@ class TestServingLeavesModelStateUntouched:
         registry, held_out, _ = serving_corpus
         service = make_cold_service(registry, num_shards)
         probes = interleaved_probes(held_out, per_building=3)
-        versions = {building_id: service.model_for(building_id).graph.version
-                    for building_id in service.building_ids}
-
-        service.predict_batch(probes)           # warm anything warmable
-        hits_before = _SAMPLER_CACHE.hits
+        graphs = [service.model_for(building_id).graph
+                  for building_id in service.building_ids]
+        versions = [graph.version for graph in graphs]
+        # Populate each base graph's entry (edge + negative sampler), as
+        # the fit did before the cache was cleared.
+        edge_samplers = [_SAMPLER_CACHE.edge_sampler(graph) for graph in graphs]
+        for graph in graphs:
+            _SAMPLER_CACHE.negative_sampler(graph)
         misses_before = _SAMPLER_CACHE.misses
+        evictions_before = _SAMPLER_CACHE.evictions
+
+        service.predict_batch(probes)
         for probe in probes:
             service.predict(probe)
         service.predict_batch(probes)
 
-        for building_id in service.building_ids:
-            assert (service.model_for(building_id).graph.version
-                    == versions[building_id])
-        # No cold predict evicted or repopulated a sampler-cache entry
-        # (overlay samplers are built outside the cache entirely).
+        assert [graph.version for graph in graphs] == versions
+        # Cold predicts read each entry (the composed negative sampler
+        # reuses the cached base sampler) but never miss, evict or rebuild
+        # one.
+        assert _SAMPLER_CACHE.evictions == evictions_before
         assert _SAMPLER_CACHE.misses == misses_before
-        assert _SAMPLER_CACHE.hits == hits_before
+        for graph, edge_sampler in zip(graphs, edge_samplers):
+            assert _SAMPLER_CACHE.edge_sampler(graph) is edge_sampler

@@ -64,7 +64,8 @@ class TestPickleRoundTrips:
 
     def test_delta_sampler_snapshot_predicts_byte_identically(
             self, serving_corpus):
-        """The delta-mode sampler state survives the snapshot too."""
+        """A model fitted through the pinned ``sampler_mode="delta"`` shim
+        snapshots like any other."""
         _, held_out, _ = serving_corpus
         model = fitted_model(serving_corpus, sampler_mode="delta")
         assert model.config.sampler_mode == "delta"

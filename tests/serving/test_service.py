@@ -3,8 +3,6 @@ micro-batched intake, cache hit semantics, rejection handling and hot swap."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro import SignalRecord
@@ -266,25 +264,3 @@ class TestBuildingLifecycle:
         assert "batch_seconds" in snapshot["latency"]
         assert snapshot["pending"] == {}
 
-
-class TestRetrainSamplerMode:
-    def test_retrain_building_records_sampler_mode(self, serving_corpus,
-                                                   fake_clock):
-        """A service configured for the delta sampler must land the mode
-        on the hot-swapped model, so its cold predictions run the composed
-        delta sampler from the first post-swap request."""
-        registry, held_out, training = serving_corpus
-        building_id = "bldg-north"
-        dataset, labels = training[building_id]
-        config = registry.config
-        service = FloorServingService(
-            grafics_config=replace(config, embedding=replace(
-                config.embedding, sampler_mode="delta")),
-            clock=fake_clock)
-        swapped = service.retrain_building(dataset, labels)
-        assert swapped.config.sampler_mode == "delta"
-        assert swapped.embedding.config.sampler_mode == "delta"
-        assert service.model_for(building_id) is swapped
-        # The delta-mode model still serves that building's probes.
-        prediction = service.predict(held_out[building_id][0])
-        assert prediction.floor is not None

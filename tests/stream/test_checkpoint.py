@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,21 +197,50 @@ class TestCheckpointFormat:
         assert resumed.scheduler.retrains_total == total
 
 
+def write_legacy_sampler_mode(directory, legacy_mode):
+    """Rewrite a checkpoint the way a release with a selectable online
+    negative sampler wrote it.
+
+    Such releases stored ``embedding.sampler_mode`` in every model file and
+    in the service descriptor (``"exact"`` unless opted in) and a
+    ``retrain_sampler_mode`` override (``None`` by default) in the stream
+    config.  Model files are re-saved with the key, and the manifest
+    digests follow, so the checkpoint stays intact.
+    """
+    mode = legacy_mode or "exact"
+    state_file = directory / "stream_state.json"
+    state = load_stream_state(state_file)
+    state["stream_config"]["retrain_sampler_mode"] = legacy_mode
+    state["service"]["grafics_config"]["embedding"]["sampler_mode"] = mode
+    save_stream_state(state, state_file)
+
+    registry_dir = directory / "registry"
+    manifest_path = registry_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for blob in manifest["buildings"]:
+        model_path = registry_dir / blob["file"]
+        with np.load(model_path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
+        metadata["config"]["embedding"]["sampler_mode"] = mode
+        arrays["metadata"] = np.frombuffer(
+            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        with open(model_path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        blob["sha256"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+
 class TestStreamConfigCodec:
-    @pytest.mark.parametrize("legacy_mode", [None, "delta"])
+    @pytest.mark.parametrize("legacy_mode", ["exact", "delta", None])
     def test_legacy_retrain_sampler_mode_checkpoint_resumes(self, tmp_path,
                                                             legacy_mode):
-        """Checkpoints written while ``StreamConfig`` still carried a
-        ``retrain_sampler_mode`` override load and resume byte-identically.
-        The override steered every stream retrain, so a non-null value
-        becomes the rebuilt service's mode while the checkpointed models
-        keep their own."""
+        """Checkpoints written while the online negative sampler was
+        selectable — ``embedding.sampler_mode`` in the model files and the
+        service config, ``retrain_sampler_mode`` in the stream config —
+        load with the retired keys dropped and resume byte-identically to
+        the uninterrupted pipeline."""
         service_a, splits = train_service()
-        if legacy_mode is not None:
-            # The uninterrupted node: exact-fit models, stream retrains in
-            # the legacy mode (what the retired override did).
-            service_a.grafics_config = replace(FAST_CONFIG, embedding=replace(
-                FAST_CONFIG.embedding, sampler_mode=legacy_mode))
         split = splits["bldg-A"]
         steady = stream_records(split, 80, prefix="steady-", jitter=2.0)
         churn = churn_stream(split)
@@ -221,22 +251,15 @@ class TestStreamConfigCodec:
         interrupted = ContinuousLearningPipeline(service_b, drift_config())
         interrupted.process_stream(steady)
         interrupted.checkpoint(tmp_path / "ckpt")
-        state_file = tmp_path / "ckpt" / "stream_state.json"
-        state = load_stream_state(state_file)
-        state["stream_config"]["retrain_sampler_mode"] = legacy_mode
-        save_stream_state(state, state_file)
+        write_legacy_sampler_mode(tmp_path / "ckpt", legacy_mode)
 
         resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
         assert resumed.config == drift_config()
+        assert resumed.service.grafics_config == FAST_CONFIG
         results_resumed = resumed.process_stream(churn)
         assert (summarize(results_resumed)
                 == summarize(results_full[len(steady):]))
         assert resumed.scheduler.retrains_total == 1
-        expected_mode = legacy_mode or "exact"
-        assert (resumed.service.model_for("bldg-A").config.sampler_mode
-                == expected_mode)
-        assert (service_a.model_for("bldg-A").config.sampler_mode
-                == expected_mode)
 
     def test_old_checkpoint_payload_without_key_loads(self):
         """Checkpoints written before the kernel and failure-domain layers

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stream_helpers import (
-    FAST_CONFIG,
     FakeClock,
     stream_records,
     train_service,
@@ -366,25 +364,3 @@ class TestFitDeadline:
         with pytest.raises(ValueError, match="fit_deadline_seconds"):
             RetrainExecutor(service, fit_deadline_seconds=0.0)
 
-
-class TestSamplerModeOverride:
-    def test_sampler_mode_recorded_on_swapped_model(self):
-        """The service config's sampler mode must survive onto the model
-        that serves after the swap — that is how a stream deployment opts
-        its retrained buildings into the delta cold path."""
-        delta = replace(FAST_CONFIG, embedding=replace(
-            FAST_CONFIG.embedding, sampler_mode="delta"))
-        service, splits = train_service(grafics_config=delta)
-        dataset, labels = window_dataset(splits["bldg-A"])
-        executor = RetrainExecutor(service)
-        completion = executor.submit("bldg-A", dataset, labels,
-                                     trigger="drift:mac_churn")
-        assert completion is not None and completion.swapped
-        assert service.model_for("bldg-A").config.sampler_mode == "delta"
-
-    def test_default_keeps_service_mode(self, fresh_service):
-        service, splits = fresh_service
-        dataset, labels = window_dataset(splits["bldg-A"])
-        executor = RetrainExecutor(service)
-        executor.submit("bldg-A", dataset, labels, trigger="drift:mac_churn")
-        assert service.model_for("bldg-A").config.sampler_mode == "exact"
