@@ -2,13 +2,7 @@
 
 from .base import EmbeddingConfig, GraphEmbedder, GraphEmbedding
 from .eline import ELINEEmbedder
-from .kernels import (
-    KERNEL_NAMES,
-    FusedKernel,
-    ReferenceKernel,
-    TrainingKernel,
-    make_kernel,
-)
+from .kernels import FusedKernel, ReferenceKernel
 from .line import LINEEmbedder
 from .sampler import AliasTable, EdgeSampler, NegativeSampler, SamplerCache
 from .trainer import EdgeSamplingTrainer, ObjectiveTerms, clear_sampler_cache
@@ -24,11 +18,8 @@ __all__ = [
     "NegativeSampler",
     "EdgeSamplingTrainer",
     "ObjectiveTerms",
-    "KERNEL_NAMES",
-    "TrainingKernel",
     "ReferenceKernel",
     "FusedKernel",
-    "make_kernel",
     "SamplerCache",
     "clear_sampler_cache",
 ]

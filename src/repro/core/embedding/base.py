@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph import BipartiteGraph
-from .kernels import validate_kernel
 
 __all__ = ["EmbeddingConfig", "GraphEmbedding", "GraphEmbedder"]
 
@@ -44,14 +43,10 @@ class EmbeddingConfig:
         Embeddings are initialised uniformly in ``[-init_scale, init_scale]``.
     seed:
         Seed of the training random generator (``None`` for nondeterministic).
-    kernel:
-        Mini-batch training kernel of full fits
-        (:mod:`repro.core.embedding.kernels`): ``"reference"`` (default;
-        bit-for-bit the historical update, backing every byte-identity
-        guarantee) or ``"fused"`` (2x+ throughput, seed-deterministic,
-        tolerance-equivalent to the reference).  The frozen online update
-        of new records always runs the reference kernel's frozen-subset
-        path, whatever kernel the model was fitted with.
+
+    There is no kernel setting: fits always run the fused kernel and the
+    frozen online update always runs the reference kernel's trainable-row
+    path (see :mod:`repro.core.embedding.kernels`).
     """
 
     dimension: int = 8
@@ -63,7 +58,6 @@ class EmbeddingConfig:
     dropout: float = 0.1
     init_scale: float = 0.5
     seed: int | None = 0
-    kernel: str = "reference"
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -78,7 +72,6 @@ class EmbeddingConfig:
             raise ValueError("batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        validate_kernel(self.kernel)
 
 
 @dataclass

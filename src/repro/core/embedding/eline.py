@@ -13,8 +13,8 @@ that only overlap through intermediate records.
 The class also implements *incremental embedding* of nodes added after the
 initial fit (Section V-A): the new node's ego and context vectors are trained
 while every other embedding stays frozen, which is cheap enough for real-time
-online inference.  The frozen update always runs the reference kernel; the
-configured kernel applies to full fits only.
+online inference.  Fits run the fused kernel; the frozen update runs the
+reference kernel's trainable-row path (the trainer picks by call).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from ...obs import runtime as obs
 from ..graph import BipartiteGraph, NodeKind
 from .base import GraphEmbedder, GraphEmbedding
-from .kernels import ReferenceKernel
 from .trainer import EdgeSamplingTrainer, ObjectiveTerms
 
 __all__ = ["ELINEEmbedder"]
@@ -170,13 +169,11 @@ class ELINEEmbedder(GraphEmbedder):
         # The objective restricted to the new nodes only involves their own
         # incident edges, so the positive sampler is built over that subset:
         # this is what makes online inference cheap (Section V-A).  The
-        # kernel is a fit-only setting: the frozen update always runs the
-        # reference kernel's frozen-subset path, which touches only the
-        # handful of trainable rows.
+        # ``trainable`` mask routes every batch to the reference kernel's
+        # frozen path, which touches only the handful of trainable rows.
         per_edge = (samples_per_new_edge if samples_per_new_edge is not None
                     else self.config.samples_per_edge)
-        incremental_config = replace(self.config, samples_per_edge=per_edge,
-                                     kernel=ReferenceKernel.name)
+        incremental_config = replace(self.config, samples_per_edge=per_edge)
         trainer = EdgeSamplingTrainer(graph, incremental_config, _ELINE_TERMS,
                                       restrict_to_nodes=new_indices,
                                       edge_scratch=edge_scratch)

@@ -1,73 +1,53 @@
-"""Pluggable mini-batch training kernels for the edge-sampling SGD engine.
+"""Mini-batch update kernels of the edge-sampling SGD engine.
 
 The :class:`~repro.core.embedding.trainer.EdgeSamplingTrainer` owns *what* to
 train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
-*how* one mini-batch updates the embedding tables.  Two kernels ship:
+*how* one mini-batch updates the embedding tables.  The trainer picks the
+kernel from the call itself — there is no setting:
 
-* ``reference`` — bit-for-bit the original ``_skipgram_step`` implementation:
-  one skip-gram step per objective term, each gathering its own rows and
-  scattering its gradients through ``np.add.at``.  This is the default, and
-  every byte-identity guarantee of the serving and streaming stacks (cache
-  hits equal recomputation, checkpoint-resume replays, every shard count
-  == the sequential registry)
-  is stated — and test-enforced — against it.  It is also the only kernel
-  with frozen training (a ``trainable`` mask, the online-inference path):
-  it computes and scatters only the trainable-row subset of the gradients;
-  the subset updates are the same values in the same accumulation order as
-  the historical full-batch-then-mask scatter (whose masked-out updates
-  were exact zeros), so online predictions remain byte-identical while the
-  per-batch cost tracks the handful of trainable rows.
-
-* ``fused`` — a throughput-optimised kernel that processes all enabled
-  objective terms from one pre-batch snapshot of the tables:
+* :class:`FusedKernel` trains every full fit (``GRAFICS.fit``, ``fit_model``,
+  service and stream retrains).  It processes all enabled objective terms
+  from one pre-batch snapshot of the tables:
 
   - the positive target and the ``K`` negative targets are gathered as one
     ``(B, K+1)`` row block, so scores, sigmoids and loss terms for positives
     and negatives fuse into single vectorised passes over preallocated
     buffers;
-  - the three ``np.add.at`` scatters per term are replaced by one weighted
-    ``np.bincount`` segment-sum per table over flattened ``row * D + d``
-    bins, covering the ``B`` source-row gradients and the ``B*(K+1)`` target
-    updates together; the ``(B, K, D)`` negative-gradient tensor of the
-    reference kernel is never allocated per batch — the
+  - scatters are one weighted ``np.bincount`` segment-sum per table over
+    flattened ``row * D + d`` bins, covering the ``B`` source-row gradients
+    and the ``B*(K+1)`` target updates together; no ``(B, K, D)``
+    negative-gradient tensor is allocated per batch — the
     coefficient-times-source products broadcast straight into a slice of one
     reusable weight buffer;
   - all enabled terms share the sampled edges/negatives and the gathered row
     blocks, and their updates are applied after all terms are evaluated
-    (Jacobi-style within a batch, where the reference applies terms
-    sequentially, Gauss-Seidel-style).
+    (Jacobi-style within a batch).
 
-  The fused kernel consumes the training RNG in exactly the same order as the
-  reference (dropout masks are drawn per term, same shapes, same sequence),
-  so it is seed-deterministic: the same seed always yields the same
-  embeddings.  Its results differ from the reference only through float
-  summation order and the within-batch term ordering; the test suite pins it
-  to the reference within tolerance on a single batch and to equal end-to-end
-  floor accuracy on the synthetic presets.  It trains full tables only.
+  It draws its dropout masks per term, in the order second-order, symmetric,
+  first-order, so it is seed-deterministic: the same seed always yields the
+  same embeddings.  Against the historical per-term ``np.add.at`` step
+  (applied Gauss-Seidel-style, one term after another), it differs only
+  through float summation order and the within-batch term ordering; the test
+  suite keeps that step as an oracle and pins the fused kernel to it within
+  tolerance per batch and at equal floor accuracy over whole test splits.
 
-The kernel is a fit-only setting with one home, ``EmbeddingConfig.kernel``
-(the streaming retrain executor's ``kernel`` is the one route that swaps it
-for stream retrains).  The frozen online update of new records always runs
-the reference kernel, whatever kernel fitted the model; see the README's
-"Performance & training kernels" section.
+* :class:`ReferenceKernel` is the frozen online update of new records
+  (Section V-A): one skip-gram step per objective term, computing and
+  scattering gradients for the handful of ``trainable`` rows only.  Its
+  updates are the same values in the same accumulation order as the
+  historical full-batch-then-mask scatter (whose masked-out updates were
+  exact zeros), so online prediction bytes for a given fitted embedding are
+  unchanged while the per-batch cost tracks the trainable rows.
+
+A kernel may keep scratch buffers, so one instance serves one training run
+(it is not shared across threads).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import ClassVar
-
 import numpy as np
 
-__all__ = [
-    "KERNEL_NAMES",
-    "TrainingKernel",
-    "ReferenceKernel",
-    "FusedKernel",
-    "make_kernel",
-    "validate_kernel",
-    "sigmoid",
-]
+__all__ = ["ReferenceKernel", "FusedKernel", "sigmoid"]
 
 #: Clip for the sigmoid argument to avoid overflow in exp().
 _SIGMOID_CLIP = 30.0
@@ -81,39 +61,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)))
 
 
-class TrainingKernel(ABC):
-    """One mini-batch of negative-sampling SGD over the embedding tables.
-
-    A kernel is stateless with respect to training progress — everything it
-    needs arrives per call — but may keep internal scratch buffers, so one
-    kernel instance belongs to one trainer (it is not shared across threads).
-    """
-
-    name: ClassVar[str]
-
-    @abstractmethod
-    def train_batch(self, ego: np.ndarray, context: np.ndarray,
-                    heads: np.ndarray, tails: np.ndarray,
-                    negatives: np.ndarray, *, learning_rate: float,
-                    terms, config, rng: np.random.Generator,
-                    trainable: np.ndarray | None = None) -> float:
-        """Apply one mini-batch update in place; return the summed loss.
-
-        ``heads``/``tails`` are the sampled directed edges (shape ``(B,)``)
-        and ``negatives`` the sampled noise nodes (shape ``(B, K)``).
-        ``terms`` selects the objective terms (an ``ObjectiveTerms``), and
-        ``trainable`` optionally masks which rows may receive updates (the
-        frozen online update; only the reference kernel supports it).
-        """
-
-
-class ReferenceKernel(TrainingKernel):
-    """The original per-term skip-gram step — the byte-identity baseline."""
-
-    name = "reference"
+class ReferenceKernel:
+    """The frozen online update: per-term skip-gram steps on trainable rows."""
 
     def train_batch(self, ego, context, heads, tails, negatives, *,
-                    learning_rate, terms, config, rng, trainable=None):
+                    learning_rate, terms, config, rng, trainable):
+        """Apply one mini-batch update in place; return the summed loss.
+
+        ``heads``/``tails`` are the sampled directed edges (shape ``(B,)``),
+        ``negatives`` the sampled noise nodes (shape ``(B, K)``), ``terms``
+        an ``ObjectiveTerms`` and ``trainable`` the boolean mask of the rows
+        that may receive updates.
+        """
         loss = 0.0
         if terms.second_order:
             loss += self._skipgram_step(ego, context, heads, tails, negatives,
@@ -130,7 +89,7 @@ class ReferenceKernel(TrainingKernel):
     def _skipgram_step(source_table: np.ndarray, target_table: np.ndarray,
                        heads: np.ndarray, tails: np.ndarray,
                        negatives: np.ndarray, lr: float,
-                       trainable: np.ndarray | None, config,
+                       trainable: np.ndarray, config,
                        rng: np.random.Generator) -> float:
         """One negative-sampling step: pull source[heads] towards target[tails].
 
@@ -159,44 +118,30 @@ class ReferenceKernel(TrainingKernel):
         pos_coeff = pos_sig - 1.0                          # (B,)
         neg_coeff = neg_sig                                # (B, K)
 
-        if trainable is None:
-            grad_source = (pos_coeff[:, None] * positive_target
-                           + np.einsum("bk,bkd->bd", neg_coeff,
-                                       negative_target))
-            grad_positive = pos_coeff[:, None] * source
-            grad_negative = neg_coeff[:, :, None] * source[:, None, :]
-
-            np.add.at(source_table, heads, -lr * grad_source)
-            np.add.at(target_table, tails, -lr * grad_positive)
-            np.add.at(target_table, negatives.ravel(),
-                      -lr * grad_negative.reshape(-1,
-                                                  grad_negative.shape[-1]))
-        else:
-            # Frozen training (online inference): gradients land on the few
-            # trainable rows only, so compute and scatter just that subset.
-            # Values are identical to masking the full-batch gradients and
-            # scattering everything — the dropped updates are exact zeros,
-            # the kept ones are the same elementwise products in the same
-            # accumulation order — but the per-batch cost tracks the number
-            # of trainable-row touches instead of B * (K + 1), and the
-            # (B, K, D) negative-gradient tensor is never materialised.
-            head_rows = np.flatnonzero(trainable[heads])
-            if head_rows.size:
-                grad_source = (
-                    pos_coeff[head_rows][:, None] * positive_target[head_rows]
-                    + np.einsum("bk,bkd->bd", neg_coeff[head_rows],
-                                negative_target[head_rows]))
-                np.add.at(source_table, heads[head_rows], -lr * grad_source)
-            tail_rows = np.flatnonzero(trainable[tails])
-            if tail_rows.size:
-                grad_positive = pos_coeff[tail_rows][:, None] * source[tail_rows]
-                np.add.at(target_table, tails[tail_rows], -lr * grad_positive)
-            negative_mask = trainable[negatives]
-            if negative_mask.any():
-                rows, cols = np.nonzero(negative_mask)     # row-major order
-                grad_negative = neg_coeff[rows, cols][:, None] * source[rows]
-                np.add.at(target_table, negatives[rows, cols],
-                          -lr * grad_negative)
+        # Gradients land on the few trainable rows only, so compute and
+        # scatter just that subset.  Values are identical to masking the
+        # full-batch gradients and scattering everything — the dropped
+        # updates are exact zeros, the kept ones are the same elementwise
+        # products in the same accumulation order — but the per-batch cost
+        # tracks the number of trainable-row touches instead of B * (K + 1),
+        # and the (B, K, D) negative-gradient tensor is never materialised.
+        head_rows = np.flatnonzero(trainable[heads])
+        if head_rows.size:
+            grad_source = (
+                pos_coeff[head_rows][:, None] * positive_target[head_rows]
+                + np.einsum("bk,bkd->bd", neg_coeff[head_rows],
+                            negative_target[head_rows]))
+            np.add.at(source_table, heads[head_rows], -lr * grad_source)
+        tail_rows = np.flatnonzero(trainable[tails])
+        if tail_rows.size:
+            grad_positive = pos_coeff[tail_rows][:, None] * source[tail_rows]
+            np.add.at(target_table, tails[tail_rows], -lr * grad_positive)
+        negative_mask = trainable[negatives]
+        if negative_mask.any():
+            rows, cols = np.nonzero(negative_mask)         # row-major order
+            grad_negative = neg_coeff[rows, cols][:, None] * source[rows]
+            np.add.at(target_table, negatives[rows, cols],
+                      -lr * grad_negative)
 
         with np.errstate(divide="ignore"):
             pos_loss = -np.log(np.maximum(pos_sig, _LOG_FLOOR)).sum()
@@ -204,10 +149,8 @@ class ReferenceKernel(TrainingKernel):
         return float(pos_loss + neg_loss)
 
 
-class FusedKernel(TrainingKernel):
-    """Segment-sum scatter kernel sharing samples and gathers across terms."""
-
-    name = "fused"
+class FusedKernel:
+    """The fit kernel: one segment-sum scatter per table, terms fused."""
 
     #: When the table is more than this many times larger than the per-batch
     #: update count, the scatter compacts the touched rows via ``np.unique``
@@ -256,16 +199,19 @@ class FusedKernel(TrainingKernel):
 
     # ---------------------------------------------------------------- batch
     def train_batch(self, ego, context, heads, tails, negatives, *,
-                    learning_rate, terms, config, rng, trainable=None):
-        if trainable is not None:
-            raise ValueError("the fused kernel trains full tables only; "
-                             "frozen training runs the reference kernel")
+                    learning_rate, terms, config, rng):
+        """Apply one mini-batch update to the full tables; return the loss.
+
+        Same arguments as :meth:`ReferenceKernel.train_batch`, without a
+        ``trainable`` mask: every row may receive updates.
+        """
         batch, num_negatives = negatives.shape
         dim = ego.shape[1]
         block = num_negatives + 1
 
         # Same term ordering as the reference kernel (second, symmetric,
-        # first) so the dropout-mask RNG stream is consumed identically.
+        # first), so the dropout-mask RNG stream is consumed in the
+        # historical order.
         term_tables = []
         if terms.second_order:
             term_tables.append((ego, context))
@@ -431,25 +377,3 @@ class FusedKernel(TrainingKernel):
         totals = np.bincount(compact, weights=weights,
                              minlength=unique.size * dim)
         table[unique] -= lr * totals.reshape(unique.size, dim)
-
-
-_KERNELS: dict[str, type[TrainingKernel]] = {
-    ReferenceKernel.name: ReferenceKernel,
-    FusedKernel.name: FusedKernel,
-}
-
-#: Names accepted by ``EmbeddingConfig.kernel``.
-KERNEL_NAMES = tuple(sorted(_KERNELS))
-
-
-def validate_kernel(name: str) -> str:
-    """Check a kernel name and return it (shared by every config entry point)."""
-    if name not in _KERNELS:
-        known = ", ".join(KERNEL_NAMES)
-        raise ValueError(f"unknown training kernel {name!r}; known: {known}")
-    return name
-
-
-def make_kernel(name: str) -> TrainingKernel:
-    """Instantiate a training kernel by name (one instance per trainer)."""
-    return _KERNELS[validate_kernel(name)]()

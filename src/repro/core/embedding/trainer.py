@@ -19,25 +19,25 @@ The engine also supports *frozen* training used during online inference
 so a newly added record can be embedded in real time without perturbing the
 previously learned embeddings.
 
-The per-batch update itself is delegated to a pluggable kernel
-(:mod:`repro.core.embedding.kernels`) selected by ``EmbeddingConfig.kernel``:
-``reference`` (default, bit-for-bit the historical implementation) or
-``fused`` (2x+ throughput, tolerance-equivalent, full tables only).  Frozen
-training needs the reference kernel; the online embedder always selects it.
-Sampling, the learning-rate schedule and the RNG stream live here, shared by
-all kernels.
+The per-batch update itself is delegated to a kernel
+(:mod:`repro.core.embedding.kernels`) chosen by the call: a full fit (no
+``trainable`` mask) runs :class:`~repro.core.embedding.kernels.FusedKernel`,
+the frozen update runs
+:class:`~repro.core.embedding.kernels.ReferenceKernel`.  Sampling, the
+learning-rate schedule and the RNG stream live here, shared by both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ...obs import runtime as obs
 from ..graph import BipartiteGraph
 from .base import EmbeddingConfig
-from .kernels import make_kernel, sigmoid
+from .kernels import FusedKernel, ReferenceKernel, sigmoid
 from .sampler import EdgeSampler, NegativeSampler, SamplerCache
 
 __all__ = ["ObjectiveTerms", "EdgeSamplingTrainer", "sigmoid",
@@ -147,7 +147,6 @@ class EdgeSamplingTrainer:
             alias_span.set("cached", use_sampler_cache)
             alias_span.set("negatives", "delta" if overlay else "full")
         self._rng = np.random.default_rng(config.seed)
-        self._kernel = make_kernel(config.kernel)
         # On overlays the RNG stream is not contracted (only the sampled
         # distribution is), so the per-batch draws are served as row slices
         # of one pooled draw per run — the composed mixture's fixed numpy
@@ -163,11 +162,6 @@ class EdgeSamplingTrainer:
     def num_sampled_edges(self) -> int:
         """Number of edges the positive-example sampler draws from."""
         return self._num_sampled_edges
-
-    @property
-    def kernel_name(self) -> str:
-        """Name of the training kernel this trainer dispatches to."""
-        return self._kernel.name
 
     # ------------------------------------------------------------------ setup
     def initial_embeddings(self, warm_start=None) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +225,9 @@ class EdgeSamplingTrainer:
         trainable:
             Optional boolean mask over node indices.  When given, gradient
             updates are applied only to rows where the mask is ``True``
-            (frozen-graph online inference).  When ``None`` every row is
-            trainable.
+            (frozen-graph online inference, run by ``ReferenceKernel``).
+            When ``None`` every row is trainable (a fit, run by
+            ``FusedKernel``).
         total_samples:
             Override for the number of edge samples (defaults to
             ``samples_per_edge * num_edges``).
@@ -242,10 +237,15 @@ class EdgeSamplingTrainer:
             raise ValueError("ego and context must have the same shape")
         if ego.shape[0] < self.graph.index_capacity:
             raise ValueError("embedding matrices are smaller than the graph")
-        if trainable is not None:
+        if trainable is None:
+            step = partial(FusedKernel().train_batch, terms=self.terms,
+                           config=config, rng=self._rng)
+        else:
             trainable = np.asarray(trainable, dtype=bool)
             if trainable.shape[0] != ego.shape[0]:
                 raise ValueError("trainable mask must match embedding rows")
+            step = partial(ReferenceKernel().train_batch, terms=self.terms,
+                           config=config, rng=self._rng, trainable=trainable)
 
         remaining = total_samples if total_samples is not None else self.total_samples()
         total = remaining
@@ -259,8 +259,10 @@ class EdgeSamplingTrainer:
                 progress = 1.0 - remaining / total
                 lr = max(config.min_learning_rate,
                          config.learning_rate * (1.0 - progress))
-                loss = self._train_batch(ego, context, batch, lr, trainable)
-                losses.append(loss)
+                heads, tails, negatives = self._sample_batch(batch)
+                loss = step(ego, context, heads, tails, negatives,
+                            learning_rate=lr)
+                losses.append(loss / batch)
                 remaining -= batch
             return losses
 
@@ -280,26 +282,19 @@ class EdgeSamplingTrainer:
             started = clock()
             heads, tails, negatives = self._sample_batch(batch)
             sampled = clock()
-            loss = self._kernel_step(ego, context, heads, tails, negatives,
-                                     lr, trainable, batch)
+            loss = step(ego, context, heads, tails, negatives,
+                        learning_rate=lr)
             sampling_seconds += sampled - started
             kernel_seconds += clock() - sampled
-            losses.append(loss)
+            losses.append(loss / batch)
             remaining -= batch
         tracer.add_span("embed.sampling", sampling_seconds,
                         {"samples": total})
-        tracer.add_span("embed.kernel", kernel_seconds,
-                        {"samples": total, "kernel": self._kernel.name})
+        tracer.add_span("embed.kernel", kernel_seconds, {"samples": total})
         elapsed = sampling_seconds + kernel_seconds
         if elapsed > 0.0:
             obs.set_gauge("train_edge_samples_per_s", total / elapsed)
         return losses
-
-    def _train_batch(self, ego: np.ndarray, context: np.ndarray, batch: int,
-                     lr: float, trainable: np.ndarray | None) -> float:
-        heads, tails, negatives = self._sample_batch(batch)
-        return self._kernel_step(ego, context, heads, tails, negatives, lr,
-                                 trainable, batch)
 
     #: Upper bound on pooled-draw rows per refill (memory guard; online
     #: runs are ~1e3 examples, far below it).
@@ -329,14 +324,3 @@ class EdgeSamplingTrainer:
         self._pool_used = end = start + batch
         heads, tails = self._positive_pool
         return heads[start:end], tails[start:end], pool[start:end]
-
-    def _kernel_step(self, ego: np.ndarray, context: np.ndarray,
-                     heads: np.ndarray, tails: np.ndarray,
-                     negatives: np.ndarray, lr: float,
-                     trainable: np.ndarray | None, batch: int) -> float:
-        """Apply one kernel update; returns the mean per-sample loss."""
-        loss = self._kernel.train_batch(
-            ego, context, heads, tails, negatives, learning_rate=lr,
-            terms=self.terms, config=self.config, rng=self._rng,
-            trainable=trainable)
-        return loss / batch

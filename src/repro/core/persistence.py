@@ -153,13 +153,14 @@ def grafics_config_to_payload(config: GraficsConfig) -> dict:
 def grafics_config_from_payload(payload: dict) -> GraficsConfig:
     """Rebuild a GRAFICS configuration written by the payload writer.
 
-    Payloads written while the online negative sampler was selectable
-    carry an ``embedding.sampler_mode`` key (``"exact"`` or ``"delta"``);
-    it is dropped, since every model now runs the one delta-composed
-    sampler.
+    Keys of retired settings are dropped: ``embedding.sampler_mode``
+    (``"exact"``/``"delta"``, from when the online negative sampler was
+    selectable) and ``embedding.kernel`` (``"reference"``/``"fused"``, from
+    when the fit kernel was; every fit now runs the fused kernel).
     """
     embedding = dict(payload["embedding"])
     embedding.pop("sampler_mode", None)
+    embedding.pop("kernel", None)
     return GraficsConfig(
         embedding_dimension=payload["embedding_dimension"],
         embedder=payload["embedder"],

@@ -54,9 +54,8 @@ class GraficsConfig:
     weight_function:
         Edge weight function (paper default: ``f(RSS) = RSS + 120``).
     embedding:
-        Full embedding hyperparameters, including the fit kernel
-        (``embedding.kernel``).  ``embedding_dimension`` overrides the
-        dimension stored here so the common case needs a single knob.
+        Full embedding hyperparameters.  ``embedding_dimension`` overrides
+        the dimension stored here so the common case needs a single knob.
     allow_unreachable_clusters:
         Forwarded to :class:`ProximityClustering`.
     """

@@ -701,8 +701,8 @@ class FloorServingService:
         currently installed model (nodes surviving the retrain resume from
         their learned vectors) — the continuous-learning path, where
         retrains happen on a sliding window that mostly overlaps the
-        previous one.  The fit kernel comes from the service's
-        ``grafics_config.embedding``.
+        previous one.  The fit takes its hyperparameters from the service's
+        ``grafics_config``.
         """
         previous_embedding = None
         if warm_start:

@@ -33,10 +33,9 @@ import threading
 import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.embedding.kernels import validate_kernel
 from ..core.persistence import _registry_model_filename, fit_model
 from ..core.pipeline import GRAFICS
 from ..faults import failpoints
@@ -105,14 +104,6 @@ class RetrainExecutor:
     train:
         Injectable training function ``(job, warm_start_embedding) ->
         GRAFICS`` — tests use it to control job timing and interleaving.
-    kernel:
-        Optional fit kernel for executor-run retrains
-        (``"reference"``/``"fused"``, see
-        :mod:`repro.core.embedding.kernels`), written into the service
-        config's ``embedding.kernel`` for those fits.  ``None`` keeps the
-        service's configured kernel.  The kernel applies to the fit only;
-        the retrained model's online path is the same either way.  Ignored
-        when a custom ``train`` is injected.
     fit_deadline_seconds:
         Wall budget (on the injected clock) for one fit.  A Python thread
         cannot be preempted mid-fit, so the budget is enforced *after* the
@@ -126,17 +117,13 @@ class RetrainExecutor:
                  model_dir: str | Path | None = None,
                  train: Callable[[RetrainJob, object | None], GRAFICS] | None = None,
                  clock: Callable[[], float] = time.perf_counter,
-                 kernel: str | None = None,
                  fit_deadline_seconds: float | None = None) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be non-negative")
-        if kernel is not None:
-            validate_kernel(kernel)
         if fit_deadline_seconds is not None and fit_deadline_seconds <= 0.0:
             raise ValueError("fit_deadline_seconds must be positive (or None)")
         self.service = service
         self.fit_deadline_seconds = fit_deadline_seconds
-        self.kernel = kernel
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self._train = train if train is not None else self._default_train
         self._clock = clock
@@ -256,11 +243,7 @@ class RetrainExecutor:
         if self.model_dir is not None:
             model_path = (self.model_dir
                           / _registry_model_filename(job.building_id))
-        config = self.service.grafics_config
-        if self.kernel is not None:
-            config = replace(config, embedding=replace(config.embedding,
-                                                       kernel=self.kernel))
-        return fit_model(config, job.dataset, job.labels,
+        return fit_model(self.service.grafics_config, job.dataset, job.labels,
                          warm_start=previous_embedding, model_path=model_path)
 
     def _execute(self, job: RetrainJob,

@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..core.embedding.kernels import validate_kernel
 from ..core.inference import UnknownEnvironmentError
 from ..core.persistence import (
     CheckpointCorruptError,
@@ -58,6 +57,14 @@ _CHECKPOINT_PREVIOUS_DIR = "previous"
 __all__ = ["StreamConfig", "StreamResult", "ContinuousLearningPipeline"]
 
 
+def _check_retrain_kernel(kernel: str | None) -> None:
+    """Reject every retired fit-kernel name (only ``"fused"`` remains)."""
+    if kernel not in (None, "fused"):
+        raise ValueError(
+            f"retrain kernel {kernel!r} is not available: the kernel "
+            "setting was retired; every fit runs the fused kernel")
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Tunables of the whole continuous-learning pipeline."""
@@ -77,13 +84,9 @@ class StreamConfig:
     #: building's retrain no longer stalls the ingest loop — the swap lands
     #: a few ``process`` calls later via ``StreamResult.completed_retrains``.
     retrain_workers: int = 0
-    #: Fit kernel for stream retrains (``"reference"``/``"fused"``; see
-    #: :mod:`repro.core.embedding.kernels`).  ``None`` (the default) keeps
-    #: the service's configured kernel and its byte-identity guarantees;
-    #: ``"fused"`` roughly halves retrain time, shrinking hot-swap latency
-    #: and retrain-worker occupancy at tolerance-level embedding
-    #: differences.  The retrained models' online path is the same either
-    #: way.
+    #: Kept for callers written when the fit kernel was selectable: only
+    #: ``None`` or ``"fused"`` is accepted, and both mean the one fit kernel
+    #: every retrain runs (see :mod:`repro.core.embedding.kernels`).
     retrain_kernel: str | None = None
     #: Wall budget for one stream retrain fit (see
     #: :class:`~repro.stream.executor.RetrainExecutor`
@@ -95,11 +98,7 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.retrain_workers < 0:
             raise ValueError("retrain_workers must be non-negative")
-        if self.retrain_kernel is not None:
-            # Fail at construction, not at the first retrain deep inside the
-            # stream loop (where a background worker would just surface error
-            # completions and models would silently stop updating).
-            validate_kernel(self.retrain_kernel)
+        _check_retrain_kernel(self.retrain_kernel)
         if (self.retrain_deadline_seconds is not None
                 and self.retrain_deadline_seconds <= 0.0):
             raise ValueError(
@@ -150,7 +149,6 @@ class ContinuousLearningPipeline:
         clock_kwargs = {} if clock is None else {"clock": clock}
         self.executor = RetrainExecutor(
             service, max_workers=self.config.retrain_workers,
-            kernel=self.config.retrain_kernel,
             fit_deadline_seconds=self.config.retrain_deadline_seconds,
             **clock_kwargs)
         self.scheduler = RetrainScheduler(service, self.windows,
@@ -502,8 +500,14 @@ def _stream_config_from_payload(payload: dict) -> StreamConfig:
 
     Keys of retired fields in older checkpoints (such as
     ``retrain_sampler_mode``, from when the online negative sampler was
-    selectable) are ignored.
+    selectable) are ignored.  A legacy ``retrain_kernel`` of
+    ``"reference"`` (from when the fit kernel was selectable) loads as
+    ``None``; ``"fused"`` is still a valid value and loads as itself, so a
+    config round-trips.  Every retrain runs the one fit kernel either way.
     """
+    retrain_kernel = payload.get("retrain_kernel")
+    if retrain_kernel == "reference":
+        retrain_kernel = None
     return StreamConfig(
         window=WindowConfig(**payload["window"]),
         drift=DriftConfig(**payload["drift"]),
@@ -511,8 +515,8 @@ def _stream_config_from_payload(payload: dict) -> StreamConfig:
         buffer_capacity=int(payload["buffer_capacity"]),
         predict=bool(payload["predict"]),
         retrain_workers=int(payload["retrain_workers"]),
+        retrain_kernel=retrain_kernel,
         # Absent in checkpoints written before the kernel / failure-domain
         # layers existed; ``.get`` keeps old checkpoints loadable.
-        retrain_kernel=payload.get("retrain_kernel"),
         retrain_deadline_seconds=payload.get("retrain_deadline_seconds"),
     )

@@ -1,24 +1,41 @@
-"""Tests for the pluggable training-kernel layer (reference vs fused)."""
+"""Tests for the two training kernels: fused fits and the frozen update.
+
+Every fit dispatches to ``FusedKernel`` and the frozen online update to
+``ReferenceKernel``; the trainer picks by call, not by setting.  The
+historical full-table fit step lives on as a test oracle
+(``kernel_oracle``), against which the fused kernel is pinned per batch and
+by floor accuracy over whole test splits.
+"""
 
 from __future__ import annotations
 
+import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import GRAFICS, GraficsConfig
-from repro.core.embedding import EmbeddingConfig, KERNEL_NAMES, make_kernel
+from repro.core.embedding import EmbeddingConfig
+from repro.core.embedding.kernels import FusedKernel, ReferenceKernel
 from repro.core.embedding.trainer import EdgeSamplingTrainer, ObjectiveTerms
 from repro.core.graph import build_graph
-from repro.core.types import SignalRecord
-from repro.data import make_experiment_split, small_test_building
-from repro.obs import runtime as obs
+from repro.core.types import FingerprintDataset, SignalRecord
+from repro.data import (
+    make_experiment_split,
+    small_test_building,
+    three_story_campus_building,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from kernel_oracle import oracle_fits  # noqa: E402
 
 ELINE_TERMS = ObjectiveTerms(second_order=True, symmetric=True)
 
-FUSED_CONFIG = GraficsConfig(embedding=EmbeddingConfig(kernel="fused"),
-                             allow_unreachable_clusters=True)
+CONFIG = GraficsConfig(allow_unreachable_clusters=True)
 
 
 def record(rid, rss):
@@ -39,49 +56,79 @@ def preset_split():
     return make_experiment_split(dataset, labels_per_floor=4, seed=0)
 
 
-class TestKernelSelection:
-    def test_known_kernels(self):
-        assert set(KERNEL_NAMES) == {"reference", "fused"}
-        for name in KERNEL_NAMES:
-            assert make_kernel(name).name == name
+@pytest.fixture()
+def dispatches(monkeypatch):
+    """Count ``train_batch`` calls per kernel, wrapping each class's own
+    definition the way the benchmark's tracer does."""
+    counts = {"fused": 0, "reference": 0}
+    for name, owner in (("fused", FusedKernel),
+                        ("reference", ReferenceKernel)):
+        original = owner.__dict__["train_batch"]
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown training kernel"):
-            make_kernel("turbo")
-        with pytest.raises(ValueError, match="unknown training kernel"):
-            EmbeddingConfig(kernel="turbo")
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
 
-    def test_default_is_reference(self):
-        assert EmbeddingConfig().kernel == "reference"
-
-    def test_trainer_reports_kernel(self, medium_graph):
-        config = EmbeddingConfig(seed=0, kernel="fused")
-        trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
-        assert trainer.kernel_name == "fused"
+        monkeypatch.setattr(owner, "train_batch", counted)
+    return counts
 
 
-def _train(graph, kernel, *, dropout=0.1, seed=0, total_samples=None,
+def _reset(counts):
+    counts.update(fused=0, reference=0)
+
+
+def _building(split, building_id):
+    return FingerprintDataset(records=list(split.train_records),
+                              building_id=building_id)
+
+
+class TestFitDispatch:
+    """The trainer picks the kernel from the call: fits run fused, the
+    frozen update runs the reference kernel's trainable-row path."""
+
+    def test_fit_batches_run_fused(self, preset_split, dispatches):
+        model = GRAFICS(CONFIG).fit(list(preset_split.train_records),
+                                    preset_split.labels)
+        batches = len(model.embedding.training_loss)
+        assert batches > 1
+        assert dispatches == {"fused": batches, "reference": 0}
+
+    def test_cold_predict_runs_frozen_path_only(self, preset_split,
+                                                dispatches):
+        model = GRAFICS(CONFIG).fit(list(preset_split.train_records),
+                                    preset_split.labels)
+        _reset(dispatches)
+        probes = [r.without_floor() for r in preset_split.test_records[:4]]
+        model.predict(probes[0])
+        model.predict_batch(probes)
+        model.predict_batch(probes, independent=True)
+        assert dispatches["fused"] == 0
+        assert dispatches["reference"] > 0
+
+
+def _train(graph, *, oracle=False, dropout=0.1, seed=0, total_samples=None,
            terms=ELINE_TERMS, samples_per_edge=40.0):
-    config = EmbeddingConfig(seed=seed, dropout=dropout, kernel=kernel,
+    config = EmbeddingConfig(seed=seed, dropout=dropout,
                              samples_per_edge=samples_per_edge, batch_size=128)
     trainer = EdgeSamplingTrainer(graph, config, terms)
     ego, context = trainer.initial_embeddings()
-    losses = trainer.train(ego, context, total_samples=total_samples)
+    with oracle_fits() if oracle else nullcontext():
+        losses = trainer.train(ego, context, total_samples=total_samples)
     return ego, context, losses, trainer
 
 
 class TestFusedKernelNumerics:
     def test_seed_deterministic(self, medium_graph):
-        ego1, context1, losses1, _ = _train(medium_graph, "fused")
-        ego2, context2, losses2, _ = _train(medium_graph, "fused")
+        ego1, context1, losses1, _ = _train(medium_graph)
+        ego2, context2, losses2, _ = _train(medium_graph)
         np.testing.assert_array_equal(ego1, ego2)
         np.testing.assert_array_equal(context1, context2)
         assert losses1 == losses2
 
     def test_rng_stream_matches_reference(self, medium_graph):
-        """Fused consumes the RNG exactly like the reference, by design."""
-        *_, trainer_ref = _train(medium_graph, "reference")
-        *_, trainer_fused = _train(medium_graph, "fused")
+        """Fused consumes the RNG exactly like the oracle, by design."""
+        *_, trainer_ref = _train(medium_graph, oracle=True)
+        *_, trainer_fused = _train(medium_graph)
         assert (trainer_ref._rng.bit_generator.state
                 == trainer_fused._rng.bit_generator.state)
 
@@ -89,17 +136,16 @@ class TestFusedKernelNumerics:
         """One batch, one term: only float summation order may differ."""
         terms = ObjectiveTerms(second_order=True)
         ego_r, context_r, losses_r, _ = _train(
-            medium_graph, "reference", dropout=0.0, total_samples=128,
+            medium_graph, oracle=True, dropout=0.0, total_samples=128,
             terms=terms)
         ego_f, context_f, losses_f, _ = _train(
-            medium_graph, "fused", dropout=0.0, total_samples=128,
-            terms=terms)
+            medium_graph, dropout=0.0, total_samples=128, terms=terms)
         np.testing.assert_allclose(ego_f, ego_r, rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(context_f, context_r, rtol=1e-7, atol=1e-9)
         assert losses_f[0] == pytest.approx(losses_r[0], rel=1e-9)
 
     # Single-term cases admit only summation-order noise; with two or more
-    # terms the reference applies terms sequentially within the batch while
+    # terms the oracle applies terms sequentially within the batch while
     # the fused kernel evaluates all of them against the pre-batch tables,
     # so the gap is O(lr * grad^2) per batch.
     @pytest.mark.parametrize("terms,atol", [
@@ -111,33 +157,37 @@ class TestFusedKernelNumerics:
          2e-2),
     ])
     def test_term_combinations_single_batch(self, medium_graph, terms, atol):
-        ego_r, context_r, *_ = _train(medium_graph, "reference", dropout=0.0,
+        ego_r, context_r, *_ = _train(medium_graph, oracle=True, dropout=0.0,
                                       total_samples=128, terms=terms)
-        ego_f, context_f, *_ = _train(medium_graph, "fused", dropout=0.0,
+        ego_f, context_f, *_ = _train(medium_graph, dropout=0.0,
                                       total_samples=128, terms=terms)
         np.testing.assert_allclose(ego_f, ego_r, rtol=1e-7, atol=atol)
         np.testing.assert_allclose(context_f, context_r, rtol=1e-7, atol=atol)
 
     def test_full_run_stays_close_to_reference(self, medium_graph):
-        ego_r, *_ = _train(medium_graph, "reference")
-        ego_f, *_ = _train(medium_graph, "fused")
+        ego_r, *_ = _train(medium_graph, oracle=True)
+        ego_f, *_ = _train(medium_graph)
         # Term updates are applied Jacobi-style within a batch, so the runs
         # diverge slowly; they must stay in the same neighbourhood.
         assert np.abs(ego_f - ego_r).max() < 0.25
 
     def test_frozen_rows_never_change(self, medium_graph):
-        """Fused never trains a frozen subset: it refuses a trainable mask
-        (frozen training is the reference kernel's, see test_trainer)."""
+        """A ``trainable`` mask routes training to the frozen path: masked
+        rows keep their bytes, trainable rows move."""
         trainable = np.zeros(medium_graph.index_capacity, dtype=bool)
         trainable[:3] = True
-        config = EmbeddingConfig(seed=0, kernel="fused", samples_per_edge=50.0)
+        config = EmbeddingConfig(seed=0, samples_per_edge=50.0)
         trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
         ego, context = trainer.initial_embeddings()
-        with pytest.raises(ValueError, match="full tables only"):
-            trainer.train(ego, context, trainable=trainable)
+        ego_before, context_before = ego.copy(), context.copy()
+        trainer.train(ego, context, trainable=trainable)
+        np.testing.assert_array_equal(ego[~trainable], ego_before[~trainable])
+        np.testing.assert_array_equal(context[~trainable],
+                                      context_before[~trainable])
+        assert not np.array_equal(ego[trainable], ego_before[trainable])
 
     def test_training_reduces_loss(self, medium_graph):
-        *_, losses, _ = _train(medium_graph, "fused", dropout=0.0,
+        *_, losses, _ = _train(medium_graph, dropout=0.0,
                                samples_per_edge=300.0)
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
 
@@ -148,14 +198,12 @@ class TestFusedKernelNumerics:
         different order (one fused subtraction vs. two), so equality holds
         to the last few ulps rather than bit-for-bit.
         """
-        from repro.core.embedding.kernels import FusedKernel
-
-        ego_direct, context_direct, *_ = _train(medium_graph, "fused",
+        ego_direct, context_direct, *_ = _train(medium_graph,
                                                 total_samples=256)
         original = FusedKernel._COMPACT_RATIO
         FusedKernel._COMPACT_RATIO = 0      # always compact
         try:
-            ego_compact, context_compact, *_ = _train(medium_graph, "fused",
+            ego_compact, context_compact, *_ = _train(medium_graph,
                                                       total_samples=256)
         finally:
             FusedKernel._COMPACT_RATIO = original
@@ -165,69 +213,54 @@ class TestFusedKernelNumerics:
                                    rtol=1e-10, atol=1e-12)
 
 
-class TestEndToEndParity:
-    def _accuracy(self, split, kernel):
-        config = GraficsConfig(embedding=EmbeddingConfig(kernel=kernel),
-                               allow_unreachable_clusters=True)
-        model = GRAFICS(config).fit(list(split.train_records), split.labels)
-        probes = [r.without_floor() for r in split.test_records]
-        truth = [r.floor for r in split.test_records]
-        predictions = model.predict_batch(probes)
-        hits = sum(1 for p, t in zip(predictions, truth) if p.floor == t)
-        return hits / len(truth)
+def _hits(split, *, oracle=False):
+    """Correct floors over the whole test split, predicted as one batch."""
+    with oracle_fits() if oracle else nullcontext():
+        model = GRAFICS(CONFIG).fit(list(split.train_records), split.labels)
+    probes = [r.without_floor() for r in split.test_records]
+    predictions = model.predict_batch(probes)
+    return sum(p.floor == r.floor
+               for p, r in zip(predictions, split.test_records))
 
+
+class TestEndToEndParity:
     def test_fused_matches_reference_floor_accuracy(self):
         """fit -> cluster -> predict parity on the paper's campus preset."""
-        from repro.data import three_story_campus_building
-
         dataset = three_story_campus_building(records_per_floor=60, seed=7)
         split = make_experiment_split(dataset, labels_per_floor=6, seed=0)
-        accuracy_reference = self._accuracy(split, "reference")
-        accuracy_fused = self._accuracy(split, "fused")
-        assert accuracy_fused == accuracy_reference
-        assert accuracy_reference > 0.9
+        hits_reference = _hits(split, oracle=True)
+        hits_fused = _hits(split)
+        assert hits_fused == hits_reference
+        assert hits_reference > 0.9 * len(split.test_records)
 
     def test_fused_accuracy_near_reference_on_hard_preset(self, preset_split):
         """On the deliberately small/hard preset, parity within one flip."""
-        accuracy_reference = self._accuracy(preset_split, "reference")
-        accuracy_fused = self._accuracy(preset_split, "fused")
-        n = len(preset_split.test_records)
-        assert abs(accuracy_fused - accuracy_reference) <= 1.5 / n
+        hits_reference = _hits(preset_split, oracle=True)
+        hits_fused = _hits(preset_split)
+        assert abs(hits_fused - hits_reference) <= 1
 
-    def test_fit_kernel_override_recorded(self, preset_split):
-        """The fitted kernel is recorded, but drives the fit only: the
-        online update runs the reference kernel's frozen-subset path."""
-        model = GRAFICS(FUSED_CONFIG).fit(list(preset_split.train_records),
-                                    preset_split.labels)
-        assert model.embedding.config.kernel == "fused"
-        tracer, _ = obs.enable()
-        try:
-            model.predict(preset_split.test_records[0].without_floor())
-        finally:
-            obs.disable()
-        kernels = [span.attributes["kernel"] for span in tracer.spans()
-                   if span.name == "embed.kernel"]
-        assert kernels == ["reference"]
+    @pytest.mark.parametrize("records_per_floor,nodes", [(100, 315),
+                                                         (400, 945)],
+                             ids=["315-nodes", "945-nodes"])
+    def test_accuracy_gate_over_seeds_and_sizes(self, records_per_floor,
+                                                nodes):
+        """Fused fits trail the oracle by at most three records per size.
 
-    def test_online_update_ignores_fit_kernel(self, preset_split):
-        """A fused-fit model predicts byte-identically to the same fitted
-        state relabelled as a reference fit."""
-        fused = GRAFICS(FUSED_CONFIG).fit(list(preset_split.train_records),
-                                          preset_split.labels)
-        relabelled = GRAFICS(FUSED_CONFIG)
-        relabelled.graph = fused.graph
-        relabelled.embedding = replace(
-            fused.embedding,
-            config=replace(fused.embedding.config, kernel="reference"))
-        relabelled.clustering = fused.clustering
-        relabelled.cluster_model = fused.cluster_model
-        for probe in preset_split.test_records[:6]:
-            probe = probe.without_floor()
-            expected = fused.predict(probe)
-            got = relabelled.predict(probe)
-            assert got.floor == expected.floor
-            assert got.distance == expected.distance
-            np.testing.assert_array_equal(got.embedding, expected.embedding)
+        Correct counts are summed over the whole campus test split on three
+        data seeds, because one split swings by several points on the seed
+        alone; the kernels differ in within-batch term ordering, so
+        borderline records may flip either way (measured: oracle 263/270,
+        fused 262/270 at 315 nodes; 1066/1080 and 1065/1080 at 945).
+        """
+        oracle_total = fused_total = 0
+        for seed in (7, 11, 13):
+            dataset = three_story_campus_building(
+                records_per_floor=records_per_floor, seed=seed)
+            split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
+            assert build_graph(list(split.train_records)).num_nodes == nodes
+            oracle_total += _hits(split, oracle=True)
+            fused_total += _hits(split)
+        assert fused_total >= oracle_total - 3
 
 
 class TestWarmStartVectorisation:
@@ -275,77 +308,96 @@ class TestWarmStartVectorisation:
 
 
 class TestKernelThreading:
-    """The configured kernel rides through serving and streaming retrains."""
+    """Service, executor and stream retrains all fit on the fused kernel;
+    the retired kernel options survive only as shims."""
 
-    def test_serving_retrain_kernel(self, preset_split, tmp_path):
-        from repro.core.types import FingerprintDataset
+    def test_serving_retrain_kernel(self, preset_split, tmp_path,
+                                    dispatches):
         from repro.serving import FloorServingService
 
-        dataset = FingerprintDataset(records=list(preset_split.train_records),
-                                     building_id="bldg-a")
-        service = FloorServingService(grafics_config=FUSED_CONFIG)
+        dataset = _building(preset_split, "bldg-a")
+        service = FloorServingService(grafics_config=CONFIG)
         service.fit_building(dataset, preset_split.labels)
+        _reset(dispatches)
         model = service.retrain_building(dataset, preset_split.labels,
                                          warm_start=True)
-        assert model.embedding.config.kernel == "fused"
         assert service.model_for("bldg-a") is model
-        # Round-tripped through persistence the kernel survives.
-        path = tmp_path / "bldg-a.npz"
-        reloaded = service.retrain_building(dataset, preset_split.labels,
-                                            model_path=path)
-        assert reloaded.embedding.config.kernel == "fused"
+        assert dispatches == {"fused": len(model.embedding.training_loss),
+                              "reference": 0}
+        # Round-tripped through persistence, the retrain fits the same way.
+        _reset(dispatches)
+        service.retrain_building(dataset, preset_split.labels,
+                                 model_path=tmp_path / "bldg-a.npz")
+        assert dispatches["fused"] > 0
+        assert dispatches["reference"] == 0
 
-    def test_executor_kernel(self, preset_split):
-        from repro.core.types import FingerprintDataset
+    def test_executor_kernel(self, preset_split, dispatches):
         from repro.serving import FloorServingService
         from repro.stream import RetrainExecutor
 
-        dataset = FingerprintDataset(records=list(preset_split.train_records),
-                                     building_id="bldg-b")
-        service = FloorServingService(
-            grafics_config=GraficsConfig(allow_unreachable_clusters=True))
+        dataset = _building(preset_split, "bldg-b")
+        service = FloorServingService(grafics_config=CONFIG)
         service.fit_building(dataset, preset_split.labels)
-        executor = RetrainExecutor(service, max_workers=0, kernel="fused")
+        _reset(dispatches)
+        executor = RetrainExecutor(service, max_workers=0)
         completion = executor.submit("bldg-b", dataset, preset_split.labels,
                                      trigger="test")
         assert completion.swapped
-        assert service.model_for("bldg-b").embedding.config.kernel == "fused"
+        model = service.model_for("bldg-b")
+        assert dispatches == {"fused": len(model.embedding.training_loss),
+                              "reference": 0}
 
-    def test_stream_config_kernel(self):
+    def test_stream_config_kernel(self, preset_split, dispatches):
+        """A stream retrain fits every batch on the fused kernel, whether
+        the retired ``retrain_kernel`` shim is left unset or says so."""
         from repro.serving import FloorServingService
-        from repro.stream import ContinuousLearningPipeline, StreamConfig
+        from repro.stream import (
+            ContinuousLearningPipeline,
+            SchedulerConfig,
+            StreamConfig,
+        )
 
-        service = FloorServingService(
-            grafics_config=GraficsConfig(allow_unreachable_clusters=True))
-        pipeline = ContinuousLearningPipeline(
-            service, StreamConfig(retrain_kernel="fused"))
-        assert pipeline.executor.kernel == "fused"
-        # Default keeps the reference kernel (and its byte-identity).
-        assert ContinuousLearningPipeline(service).executor.kernel is None
+        for retrain_kernel in (None, "fused"):
+            service = FloorServingService(grafics_config=CONFIG)
+            service.fit_building(_building(preset_split, "bldg-d"),
+                                 preset_split.labels)
+            pipeline = ContinuousLearningPipeline(service, StreamConfig(
+                scheduler=SchedulerConfig(retrain_every_records=12,
+                                          min_window_records=12),
+                retrain_kernel=retrain_kernel))
+            _reset(dispatches)
+            stream = [SignalRecord(record_id=f"stream-{i}", rss=r.rss,
+                                   floor=r.floor if i % 3 == 0 else None)
+                      for i, r in enumerate(preset_split.test_records[:12])]
+            results = pipeline.process_stream(stream)
+            pipeline.close()
+            assert sum(r.retrain is not None and r.retrain.swapped
+                       for r in results) == 1
+            model = service.model_for("bldg-d")
+            # The stream's predictions ran the frozen path; the retrain
+            # ran fused, one call per training batch.
+            assert dispatches["fused"] == len(model.embedding.training_loss)
+            assert dispatches["reference"] > 0
 
     def test_invalid_kernel_fails_at_construction(self):
-        """Bad kernel names fail fast, not at the first retrain."""
-        from repro.serving import FloorServingService
-        from repro.stream import RetrainExecutor, StreamConfig
+        """Only the shim values ``None``/``"fused"`` remain; any other name,
+        the retired ``"reference"`` included, fails fast."""
+        from repro.stream import StreamConfig
 
-        with pytest.raises(ValueError, match="unknown training kernel"):
-            StreamConfig(retrain_kernel="fussed")
-        service = FloorServingService(
-            grafics_config=GraficsConfig(allow_unreachable_clusters=True))
-        with pytest.raises(ValueError, match="unknown training kernel"):
-            RetrainExecutor(service, kernel="fussed")
+        for name in ("reference", "fussed"):
+            with pytest.raises(ValueError, match="retired"):
+                StreamConfig(retrain_kernel=name)
 
-    def test_sharded_retrain_kernel(self, preset_split):
-        """A multi-shard service retrains with its configured kernel too."""
-        from repro.core.types import FingerprintDataset
+    def test_sharded_retrain_kernel(self, preset_split, dispatches):
+        """A multi-shard service retrains on the fused kernel too."""
         from repro.serving import ShardedServingService
 
-        dataset = FingerprintDataset(records=list(preset_split.train_records),
-                                     building_id="bldg-c")
-        service = ShardedServingService(grafics_config=FUSED_CONFIG,
-                                        num_shards=2)
+        dataset = _building(preset_split, "bldg-c")
+        service = ShardedServingService(grafics_config=CONFIG, num_shards=2)
         service.fit_building(dataset, preset_split.labels)
+        _reset(dispatches)
         model = service.retrain_building(dataset, preset_split.labels,
                                          warm_start=True)
-        assert model.embedding.config.kernel == "fused"
         assert service.model_for("bldg-c") is model
+        assert dispatches == {"fused": len(model.embedding.training_loss),
+                              "reference": 0}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,21 +198,18 @@ class TestCheckpointFormat:
         assert resumed.scheduler.retrains_total == total
 
 
-def write_legacy_sampler_mode(directory, legacy_mode):
-    """Rewrite a checkpoint the way a release with a selectable online
-    negative sampler wrote it.
+def write_legacy_keys(directory, stream_keys, embedding_keys):
+    """Rewrite a checkpoint the way an older release wrote it.
 
-    Such releases stored ``embedding.sampler_mode`` in every model file and
-    in the service descriptor (``"exact"`` unless opted in) and a
-    ``retrain_sampler_mode`` override (``None`` by default) in the stream
-    config.  Model files are re-saved with the key, and the manifest
-    digests follow, so the checkpoint stays intact.
+    ``stream_keys`` land in the stream config; ``embedding_keys`` in the
+    service descriptor's and every model file's embedding config.  Model
+    files are re-saved with the keys, and the manifest digests follow, so
+    the checkpoint stays intact.
     """
-    mode = legacy_mode or "exact"
     state_file = directory / "stream_state.json"
     state = load_stream_state(state_file)
-    state["stream_config"]["retrain_sampler_mode"] = legacy_mode
-    state["service"]["grafics_config"]["embedding"]["sampler_mode"] = mode
+    state["stream_config"].update(stream_keys)
+    state["service"]["grafics_config"]["embedding"].update(embedding_keys)
     save_stream_state(state, state_file)
 
     registry_dir = directory / "registry"
@@ -222,13 +220,23 @@ def write_legacy_sampler_mode(directory, legacy_mode):
         with np.load(model_path) as archive:
             arrays = {name: archive[name] for name in archive.files}
         metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
-        metadata["config"]["embedding"]["sampler_mode"] = mode
+        metadata["config"]["embedding"].update(embedding_keys)
         arrays["metadata"] = np.frombuffer(
             json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
         with open(model_path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
         blob["sha256"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest, indent=2))
+
+
+def write_legacy_sampler_mode(directory, legacy_mode):
+    """Rewrite a checkpoint the way a release with a selectable online
+    negative sampler wrote it: ``embedding.sampler_mode`` in every model
+    file and in the service descriptor (``"exact"`` unless opted in), and a
+    ``retrain_sampler_mode`` override (``None`` by default) in the stream
+    config."""
+    write_legacy_keys(directory, {"retrain_sampler_mode": legacy_mode},
+                      {"sampler_mode": legacy_mode or "exact"})
 
 
 class TestStreamConfigCodec:
@@ -260,6 +268,62 @@ class TestStreamConfigCodec:
         assert (summarize(results_resumed)
                 == summarize(results_full[len(steady):]))
         assert resumed.scheduler.retrains_total == 1
+
+    @pytest.mark.parametrize("kernel", ["reference", "fused"])
+    def test_legacy_kernel_checkpoint_resumes(self, tmp_path, kernel,
+                                              monkeypatch):
+        """Checkpoints written while the fit kernel was selectable —
+        ``embedding.kernel`` in the model files and the service config,
+        ``retrain_kernel`` in the stream config — load with the retired
+        values dropped and resume byte-identically to the uninterrupted
+        pipeline, whose next retrain fits on the fused kernel."""
+        from repro.core.embedding.kernels import FusedKernel
+
+        service_a, splits = train_service()
+        split = splits["bldg-A"]
+        steady = stream_records(split, 80, prefix="steady-", jitter=2.0)
+        churn = churn_stream(split)
+        uninterrupted = ContinuousLearningPipeline(service_a, drift_config())
+        results_full = uninterrupted.process_stream(steady + churn)
+
+        service_b, _ = train_service()
+        interrupted = ContinuousLearningPipeline(service_b, drift_config())
+        interrupted.process_stream(steady)
+        interrupted.checkpoint(tmp_path / "ckpt")
+        write_legacy_keys(tmp_path / "ckpt", {"retrain_kernel": kernel},
+                          {"kernel": kernel})
+
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        # "fused" is still a valid shim value, so it loads as itself.
+        assert resumed.config == replace(
+            drift_config(),
+            retrain_kernel="fused" if kernel == "fused" else None)
+        assert resumed.service.grafics_config == FAST_CONFIG
+        fused_batches = 0
+        train_batch = FusedKernel.__dict__["train_batch"]
+
+        def counted(self, *args, **kwargs):
+            nonlocal fused_batches
+            fused_batches += 1
+            return train_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusedKernel, "train_batch", counted)
+        results_resumed = resumed.process_stream(churn)
+        assert (summarize(results_resumed)
+                == summarize(results_full[len(steady):]))
+        assert resumed.scheduler.retrains_total == 1
+        model = resumed.service.model_for("bldg-A")
+        assert fused_batches == len(model.embedding.training_loss) > 0
+
+    def test_fused_retrain_kernel_round_trips(self, tmp_path):
+        """A pipeline configured with the ``retrain_kernel="fused"`` shim
+        resumes with that config unchanged."""
+        service, _ = train_service()
+        config = replace(drift_config(), retrain_kernel="fused")
+        pipeline = ContinuousLearningPipeline(service, config)
+        pipeline.checkpoint(tmp_path / "ckpt")
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        assert resumed.config == config
 
     def test_old_checkpoint_payload_without_key_loads(self):
         """Checkpoints written before the kernel and failure-domain layers
