@@ -228,7 +228,7 @@ def run(sizes, label, dataset=None, artifacts_dir: str | None = None,
     # per sample.
     start = time.perf_counter()
     for probe in probes[: sizes["probes"]]:
-        model.predict(probe, persist=False)
+        model.predict(probe)
     online_seconds = (time.perf_counter() - start) / sizes["probes"]
 
     cold = measure_cold_serving({"model": model}, dataset, probes,

@@ -162,6 +162,6 @@ class GraphEmbedder(ABC):
 
     @staticmethod
     def _index_maps(graph: BipartiteGraph) -> tuple[dict[str, int], dict[str, int]]:
-        # The graph caches these per version (overlays compose base + delta);
-        # both are treated as read-only downstream, so sharing is safe.
+        # The graph caches these per version; both are treated as
+        # read-only downstream, so sharing is safe.
         return graph.record_index_map(), graph.mac_index_map()

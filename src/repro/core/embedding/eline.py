@@ -66,6 +66,11 @@ class ELINEEmbedder(GraphEmbedder):
         :class:`GraphEmbedding` that covers the enlarged graph; the original
         embedding object is not modified.
 
+        This is the mutate-the-graph route: ``graph`` is a plain
+        :class:`BipartiteGraph` that the records were added to.  The online
+        engine never takes it; it reads the new rows straight from
+        :meth:`embed_new_nodes_arrays` over a read-only overlay.
+
         Parameters
         ----------
         graph:
@@ -100,12 +105,12 @@ class ELINEEmbedder(GraphEmbedder):
         """The array-level core of :meth:`embed_new_nodes`.
 
         Returns ``(ego, context, losses)`` over the enlarged index space
-        without assembling a :class:`GraphEmbedding` (the index maps and the
-        training-loss history are the only parts a non-persisting online
-        prediction never reads — it looks up the new rows by index).
-        ``graph`` may be the mutated base graph or a
-        :class:`~repro.core.overlay.GraphOverlay` presenting the staged
-        records over a frozen base.  Both train on the same positive edges
+        without assembling a :class:`GraphEmbedding`: the online engine
+        looks up the new rows by index and never reads the index maps or
+        the training-loss history.  ``graph`` may be the mutated base graph
+        or a :class:`~repro.core.overlay.GraphOverlay` presenting the staged
+        records over a frozen base; neither ``graph`` nor ``embedding`` is
+        written.  Both train on the same positive edges
         and the same negative-sampling distribution; the overlay composes
         its negative sampler from the base graph's cached parts, so its draw
         sequence differs from the mutated graph's.  ``edge_scratch``

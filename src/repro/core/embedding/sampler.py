@@ -400,7 +400,7 @@ class SamplerCache:
     alias tables instead of re-running the O(V+E) builds.  Online
     inference stages its probe records on a ``GraphOverlay`` instead of
     mutating the graph, so the graph's version — and therefore any entry
-    cached here — survives arbitrarily many ``persist=False`` predictions.
+    cached here — survives arbitrarily many predictions.
     An overlay (an ephemeral view, one per prediction) is never a cache
     key itself: its negative sampler is *composed* from the base graph's
     cached negative sampler (:meth:`delta_negative_sampler`), shrinking

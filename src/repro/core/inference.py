@@ -8,21 +8,20 @@ Given a trained graph, embedding and cluster model, the
    nodes are staged on demand) — the shared graph itself is not touched;
 2. its ego/context embeddings are trained against the overlay while every
    previously learned embedding stays frozen
-   (:meth:`ELINEEmbedder.embed_new_nodes`);
+   (:meth:`ELINEEmbedder.embed_new_nodes_arrays`);
 3. its floor is predicted as the label of the cluster whose centroid is
    nearest in the ego embedding space.
 
-Inference is therefore *mutation-free*: a ``persist=False`` prediction
-leaves the graph's version counter (and every cache keyed on it) untouched,
-and concurrent predictions against one model need no mutual exclusion.
-``persist=True`` commits the overlay's staged delta onto the graph, which
-reproduces exactly the state the historical mutate-in-place path built.
-Both run the same overlay embedding, so they predict byte-identically to
-each other (test-enforced).  Against that historical path, the sampler
-inputs are equal bit for bit — positive edge arrays and negative-sampling
-probabilities — while the draw sequence differs, because the negative
-sampler is composed from the base graph's cached table instead of being
-rebuilt per prediction.
+Inference is therefore *mutation-free*: a served model is immutable.  A
+prediction writes neither the graph nor the embedding, so the graph's
+version counter (and every cache keyed on it) survives arbitrarily many
+predictions, concurrent predictions against one model need no mutual
+exclusion, and a pickled twin serves the same bytes (test-enforced).
+Against the historical mutate-in-place path the sampler inputs are equal
+bit for bit — positive edge arrays and negative-sampling probabilities —
+while the draw sequence differs, because the negative sampler is composed
+from the base graph's cached table instead of being rebuilt per
+prediction.
 
 A sample whose MAC addresses are *all* unseen carries no information that
 connects it to the building; the paper discards such samples as likely
@@ -69,13 +68,12 @@ class OnlineInferenceEngine:
     Parameters
     ----------
     graph:
-        The training bipartite graph.  The engine never mutates it except
-        to commit the staged delta of a ``persist=True`` prediction;
-        ``persist=False`` traffic is read-only (overlay-based), so the
-        graph's version counter — and every sampler/vocabulary cache keyed
-        on it — survives arbitrarily many predictions.
+        The training bipartite graph.  The engine never mutates it:
+        predictions are staged on a read-only overlay, so the graph's
+        version counter — and every sampler/vocabulary cache keyed on it —
+        survives arbitrarily many predictions.
     embedding:
-        The embedding trained offline over ``graph``.
+        The embedding trained offline over ``graph``; never mutated.
     cluster_model:
         The nearest-centroid floor classifier from the offline clustering.
     embedder:
@@ -96,23 +94,15 @@ class OnlineInferenceEngine:
         self._scratch = threading.local()
 
     # -------------------------------------------------------------- inference
-    def predict(self, record: SignalRecord, persist: bool = False) -> FloorPrediction:
+    def predict(self, record: SignalRecord) -> FloorPrediction:
         """Predict the floor of one new RF sample.
 
-        Parameters
-        ----------
-        record:
-            The online measurement.  Its id must not collide with a record
-            already in the graph.
-        persist:
-            When ``True`` the record (and its embedding) stay in the model so
-            that subsequent samples can benefit from the added connectivity;
-            when ``False`` (default) the graph is restored afterwards.
+        ``record`` is the online measurement; its id must not collide with
+        a record already in the graph.  The model is left unchanged.
         """
-        return self._predict_group([record], persist=persist)[0]
+        return self._predict_group([record])[0]
 
     def predict_batch(self, records: Sequence[SignalRecord],
-                      persist: bool = False,
                       independent: bool = False) -> list[FloorPrediction]:
         """Predict the floors of a batch of new RF samples.
 
@@ -120,8 +110,6 @@ class OnlineInferenceEngine:
         ----------
         records:
             The online measurements.
-        persist:
-            Keep the records (and their embeddings) in the model afterwards.
         independent:
             When ``False`` (default) the whole batch is embedded jointly in
             one SGD run over the union of the new nodes' edges — the
@@ -139,16 +127,16 @@ class OnlineInferenceEngine:
         if not records:
             return []
         if independent:
-            return [self._predict_group([record], persist=persist)[0]
-                    for record in records]
-        return self._predict_group(records, persist=persist)
+            return [self._predict_group([record])[0] for record in records]
+        return self._predict_group(records)
 
-    def _predict_group(self, records: Sequence[SignalRecord],
-                       persist: bool = False) -> list[FloorPrediction]:
+    def _predict_group(self, records: Sequence[SignalRecord]
+                       ) -> list[FloorPrediction]:
         """Embed ``records`` jointly against the frozen model and classify them.
 
-        The records are staged on a :class:`GraphOverlay`; the shared graph
-        is only written when ``persist=True`` commits the staged delta.
+        The records are staged on a :class:`GraphOverlay`; the new rows are
+        read by overlay index, so no :class:`GraphEmbedding` is assembled
+        and neither the graph nor ``self.embedding`` is written.
         """
         with obs.span("online.predict") as predict_span:
             predict_span.set("records", len(records))
@@ -168,21 +156,13 @@ class OnlineInferenceEngine:
                 for record in records:
                     overlay.add_record(record)
 
-            new_ids = [record.record_id for record in records]
-            enlarged = None
-            if persist:
-                enlarged = self.embedder.embed_new_nodes(
-                    overlay, self.embedding, new_ids)
-                ego = enlarged.ego
-            else:
-                # The non-persisting path reads the new rows by overlay
-                # index, so the full GraphEmbedding (composed index maps,
-                # loss history) is never assembled.
-                scratch = getattr(self._scratch, "edges", None)
-                if scratch is None:
-                    scratch = self._scratch.edges = EdgeArrayScratch()
-                ego, _, _ = self.embedder.embed_new_nodes_arrays(
-                    overlay, self.embedding, new_ids, edge_scratch=scratch)
+            scratch = getattr(self._scratch, "edges", None)
+            if scratch is None:
+                scratch = self._scratch.edges = EdgeArrayScratch()
+            ego, _, _ = self.embedder.embed_new_nodes_arrays(
+                overlay, self.embedding,
+                [record.record_id for record in records],
+                edge_scratch=scratch)
 
             with obs.span("online.classify"):
                 predictions = []
@@ -194,8 +174,4 @@ class OnlineInferenceEngine:
                     predictions.append(FloorPrediction(
                         record_id=record.record_id, floor=floor,
                         distance=distance, embedding=vector.copy()))
-
-            if persist:
-                overlay.commit()
-                self.embedding = enlarged
             return predictions

@@ -62,9 +62,10 @@ _STREAM_STATE_VERSION = 1
 class CheckpointCorruptError(ValueError):
     """A checkpoint payload failed its integrity check.
 
-    Raised when a stream-state or model file is truncated, unparseable, or
-    fails its stored SHA-256 digest — i.e. the bytes on disk are not the
-    bytes a writer produced.  Distinct from :class:`FileNotFoundError`
+    Raised when a stream-state or model file is truncated, unparseable,
+    fails its stored SHA-256 digest, or (a model file) has an edge list
+    naming a node its index maps lack — i.e. the bytes on disk are not a
+    state a writer could serve.  Distinct from :class:`FileNotFoundError`
     (nothing was ever written there) and from plain :class:`ValueError`
     version mismatches (a well-formed file from an incompatible writer):
     corruption is the one case where falling back to the retained
@@ -292,27 +293,35 @@ def load_model(path: str | Path) -> GRAFICS:
 
     old_record_index = metadata["record_index"]
     old_mac_index = metadata["mac_index"]
-    graph = _rebuild_graph(metadata["edges"], config.weight_function,
-                           record_index=old_record_index,
-                           mac_index=old_mac_index)
-
-    # Embedding rows are re-ordered to the rebuilt indices.  With the
-    # index-preserving rebuild this is an identity copy; the mapping is kept
-    # for graphs whose saved indices were not contiguous.
+    edges = metadata["edges"]
     dim = ego.shape[1]
-    new_ego = np.zeros((graph.index_capacity, dim))
-    new_context = np.zeros((graph.index_capacity, dim))
-    record_index: dict[str, int] = {}
-    mac_index: dict[str, int] = {}
-    for node in graph.nodes():
-        if node.kind is NodeKind.RECORD:
-            old_row = old_record_index[node.key]
-            record_index[node.key] = node.index
-        else:
-            old_row = old_mac_index[node.key]
-            mac_index[node.key] = node.index
-        new_ego[node.index] = ego[old_row]
-        new_context[node.index] = context[old_row]
+    try:
+        graph = _rebuild_graph(edges, config.weight_function,
+                               record_index=old_record_index,
+                               mac_index=old_mac_index)
+
+        # Embedding rows are re-ordered to the rebuilt indices.  With the
+        # index-preserving rebuild this is an identity copy; the mapping is
+        # kept for graphs whose saved indices were not contiguous.
+        new_ego = np.zeros((graph.index_capacity, dim))
+        new_context = np.zeros((graph.index_capacity, dim))
+        record_index: dict[str, int] = {}
+        mac_index: dict[str, int] = {}
+        for node in graph.nodes():
+            if node.kind is NodeKind.RECORD:
+                old_row = old_record_index[node.key]
+                record_index[node.key] = node.index
+            else:
+                old_row = old_mac_index[node.key]
+                mac_index[node.key] = node.index
+            new_ego[node.index] = ego[old_row]
+            new_context[node.index] = context[old_row]
+    except KeyError as error:
+        # An edge naming a node the saved index maps lack: the file's
+        # parts disagree, so no graph and embedding pair can be rebuilt.
+        raise CheckpointCorruptError(
+            f"model file {path} is inconsistent: its edge list names a node "
+            f"missing from the saved index maps ({error})") from error
 
     embedding = GraphEmbedding(ego=new_ego, context=new_context,
                                record_index=record_index, mac_index=mac_index,

@@ -240,12 +240,15 @@ class GRAFICS:
         clone.cluster_model = self.cluster_model
         return clone
 
-    def predict(self, record: SignalRecord, persist: bool = False) -> FloorPrediction:
-        """Predict the floor of one new RF sample (online inference)."""
-        return self.engine.predict(record, persist=persist)
+    def predict(self, record: SignalRecord) -> FloorPrediction:
+        """Predict the floor of one new RF sample (online inference).
+
+        The fitted model is never written, so a twin pickled after any
+        number of predictions serves the same bytes.
+        """
+        return self.engine.predict(record)
 
     def predict_batch(self, records: Sequence[SignalRecord],
-                      persist: bool = False,
                       independent: bool = False) -> list[FloorPrediction]:
         """Predict the floors of several new RF samples in one embedding pass.
 
@@ -253,8 +256,7 @@ class GRAFICS:
         regardless of batch composition) instead of jointly; see
         :meth:`OnlineInferenceEngine.predict_batch`.
         """
-        return self.engine.predict_batch(records, persist=persist,
-                                         independent=independent)
+        return self.engine.predict_batch(records, independent=independent)
 
     def predict_floors(self, records: Sequence[SignalRecord]) -> np.ndarray:
         """Convenience wrapper returning only the predicted floor numbers."""

@@ -5,7 +5,7 @@ composition of the base graph's version-cached table and a tiny table over
 the overlay-affected indices; it is the only negative sampler on overlay
 graphs.  The load-bearing guarantee, pinned by a hypothesis property here,
 is that the *composed per-index probabilities equal a full rebuild's
-exactly* — same floats, not merely close — under arbitrary stage/commit
+exactly* — same floats, not merely close — under arbitrary stage/grow
 churn.  The RNG consumption differs from a rebuild's; accuracy parity with
 the legacy rebuild route is gated in ``test_online_identity.py``.  The
 retired ``sampler_mode`` knob survives only as shims that accept
@@ -86,9 +86,9 @@ class TestComposedDistribution:
     @given(first=staged_record_batches(), second=staged_record_batches())
     @settings(max_examples=40, deadline=None)
     def test_probabilities_equal_full_rebuild_under_churn(self, first, second):
-        """Composed probabilities == full rebuild, exactly, across commits.
+        """Composed probabilities == full rebuild, exactly, across base growth.
 
-        Stage a batch, compare; commit it into the base; stage another
+        Stage a batch, compare; add it to the base; stage another
         batch on the *mutated* base (version bump → cache invalidation and
         re-priming) and compare again.  Equality is exact float equality:
         the composition reuses the cached base weight vector verbatim and
@@ -98,14 +98,16 @@ class TestComposedDistribution:
         graph = base_graph()
         cache = SamplerCache()
         for tag, batch in (("a", first), ("b", second)):
+            staged_records = [record(f"{tag}-{staged.record_id}", staged.rss)
+                              for staged in batch]
             overlay = GraphOverlay(graph)
-            for staged in batch:
-                overlay.add_record(record(f"{tag}-{staged.record_id}",
-                                          staged.rss))
+            for staged in staged_records:
+                overlay.add_record(staged)
             sampler = cache.delta_negative_sampler(overlay)
             np.testing.assert_array_equal(
                 sampler.probabilities, full_rebuild_probabilities(overlay))
-            overlay.commit()
+            for staged in staged_records:
+                graph.add_record(staged)
 
     def test_no_staged_delta_falls_back_to_base(self):
         graph = base_graph()

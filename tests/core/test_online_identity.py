@@ -14,28 +14,31 @@ differs from the legacy route's.  What must still hold exactly:
 
 * the sampler *inputs*: for single and joint staging, the positive edge
   arrays and the negative-sampling probabilities equal the mutated twin's
-  full rebuild bit for bit, and ``persist=True`` commits the legacy
-  route's node indices;
+  full rebuild bit for bit, also on models grown by the legacy route's
+  persisting mode;
 * the overlay path's own byte-identities: an independent batch equals
-  per-record singles, and ``persist=True`` predicts exactly like
-  ``persist=False``;
+  per-record singles;
 * floor accuracy: equal to the legacy route's over a whole test split on
   three data seeds.
 
-Also pinned: the satellite regressions — non-persisting predictions never
-bump ``BipartiteGraph.version``, and the version-keyed ``SamplerCache``
-entry survives a sequence of cold predicts instead of being evicted by
-each one.
+Also pinned: a served model is immutable — predictions never bump
+``BipartiteGraph.version``, leave the pickled model byte-identical, and a
+twin pickled after them serves the same bytes; the version-keyed
+``SamplerCache`` entry survives a sequence of cold predicts instead of
+being evicted by each one; and every cold predict restricts training to
+staged overlay nodes, because a served model's embedding covers every
+MAC of its graph.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import GRAFICS, GraficsConfig
+from repro.core import GRAFICS, GraficsConfig, load_model, save_model
 from repro.core.embedding import EmbeddingConfig
 from repro.core.embedding import eline as eline_module
 from repro.core.embedding.trainer import (
@@ -45,7 +48,8 @@ from repro.core.embedding.trainer import (
     clear_sampler_cache,
 )
 from repro.core.graph import NodeKind
-from repro.core.inference import FloorPrediction
+from repro.core.inference import FloorPrediction, OnlineInferenceEngine
+from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, three_story_campus_building
 
 CONFIG = GraficsConfig(embedding=EmbeddingConfig(samples_per_edge=40.0, seed=0),
@@ -57,7 +61,9 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
 
     A faithful re-enactment of the historical ``_predict_group`` using the
     public mutating graph API and the generic ``embed_new_nodes`` (which
-    still serves the mutated-graph case unchanged).
+    still serves the mutated-graph case unchanged).  ``persist=True`` keeps
+    the records and installs the enlarged embedding on the model, growing a
+    consistent base for follow-up checks.
     """
     engine = model.engine
     graph, embedding = engine.graph, engine.embedding
@@ -84,7 +90,7 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
                                            floor=floor, distance=distance,
                                            embedding=vector.copy()))
     if persist:
-        engine.embedding = enlarged
+        engine.embedding = model.embedding = enlarged
     else:
         for record in records:
             graph.remove_record(record.record_id)
@@ -205,50 +211,26 @@ class TestByteIdentityToLegacyPath:
 
     def test_persist_single_then_follow_ups(self, campus_split, probes,
                                             trainers):
-        model_new, model_ref, model_old = (fit_campus(campus_split),
-                                           fit_campus(campus_split),
-                                           fit_campus(campus_split))
-        # Step by step from equal states, persisting predicts exactly like
-        # not persisting; the twin then commits too, keeping states equal.
-        for probe in probes[:3]:
-            committed = model_new.predict(probe, persist=True)
-            assert_identical([committed], [model_ref.predict(probe)])
-            assert (model_new.engine.embedding.record_vector(probe.record_id)
-                    .tobytes() == committed.embedding.tobytes())
-            assert_identical([model_ref.predict(probe, persist=True)],
-                             [committed])
-        legacy_predict_batch(model_old, probes[:3], persist=True,
-                             independent=True)
-        # The committed graph is the legacy route's: same node indices, so
-        # follow-ups train on the same sampler inputs.
-        assert (model_new.graph.record_index_map()
-                == model_old.graph.record_index_map())
-        assert (model_new.graph.mac_index_map()
-                == model_old.graph.mac_index_map())
+        # Both twins grow by the same legacy persisting singles, so their
+        # graphs are equal; follow-ups then train on the same sampler
+        # inputs on the overlay and on the mutated twin.
+        model_new, model_old = fit_campus(campus_split), fit_campus(campus_split)
+        for model in (model_new, model_old):
+            legacy_predict_batch(model, probes[:3], persist=True,
+                                 independent=True)
         del trainers[:]
-        follow_ups = model_new.predict_batch(probes[3:], independent=True)
+        model_new.predict_batch(probes[3:], independent=True)
         overlay_trainers = trainers[:]
-        committed_old = pickle.dumps(model_old)
+        grown_old = pickle.dumps(model_old)
         for probe in probes[3:]:
-            legacy_predict_group(pickle.loads(committed_old), [probe])
+            legacy_predict_group(pickle.loads(grown_old), [probe])
         assert_same_sampler_inputs(overlay_trainers,
                                    trainers[len(overlay_trainers):])
-        # The twin that committed the same records serves the follow-ups
-        # byte-identically.
-        assert_identical(
-            model_ref.predict_batch(probes[3:], independent=True), follow_ups)
 
     def test_persist_joint_batch(self, campus_split, probes, trainers):
-        model_new, model_ref, model_old = (fit_campus(campus_split),
-                                           fit_campus(campus_split),
-                                           fit_campus(campus_split))
-        assert_identical(model_new.predict_batch(probes[:4], persist=True),
-                         model_ref.predict_batch(probes[:4]))
-        legacy_predict_batch(model_old, probes[:4], persist=True)
-        assert (model_new.graph.record_index_map()
-                == model_old.graph.record_index_map())
-        assert (model_new.graph.mac_index_map()
-                == model_old.graph.mac_index_map())
+        model_new, model_old = fit_campus(campus_split), fit_campus(campus_split)
+        for model in (model_new, model_old):
+            legacy_predict_batch(model, probes[:4], persist=True)
         del trainers[:]
         model_new.predict(probes[5])
         legacy_predict_group(model_old, [probes[5]])
@@ -338,3 +320,110 @@ class TestMutationFreeRegression:
         for probe in probes:
             model.predict(probe)
         assert model.graph.index_capacity == capacity
+
+
+class TestServedModelImmutable:
+    """A prediction never writes the served model: its pickle (what the
+    compute pool ships) is unchanged, and a twin pickled after predicts
+    serves the next probes byte-identically."""
+
+    @staticmethod
+    def predict_every_mode(model, probes):
+        model.predict(probes[1])
+        model.predict_batch(probes[2:5])
+        model.predict_batch(probes[2:5], independent=True)
+
+    def test_predicts_leave_the_pickle_unchanged(self, campus_split, probes):
+        model = fit_campus(campus_split)
+        # The first cold predict fills two derived, version-keyed read
+        # caches that travel in the pickle (the graph's MAC vocabulary and
+        # the embedding's MAC key set); nothing else may change, then or
+        # after.
+        arrays_before = (model.graph.degree_array().tobytes(),
+                         model.embedding.ego.tobytes(),
+                         model.embedding.context.tobytes())
+        model.predict(probes[0])
+        before = pickle.dumps(model)
+        self.predict_every_mode(model, probes)
+        assert pickle.dumps(model) == before
+        assert (model.graph.degree_array().tobytes(),
+                model.embedding.ego.tobytes(),
+                model.embedding.context.tobytes()) == arrays_before
+
+    def test_twin_pickled_after_predicts_serves_same_bytes(self, campus_split,
+                                                           probes):
+        model = fit_campus(campus_split)
+        self.predict_every_mode(model, probes)
+        twin = pickle.loads(pickle.dumps(model))
+        assert_identical(twin.predict_batch(probes[5:], independent=True),
+                         model.predict_batch(probes[5:], independent=True))
+        assert_identical(twin.predict_batch(probes[5:]),
+                         model.predict_batch(probes[5:]))
+
+    def test_no_predict_method_takes_a_persist_flag(self):
+        # No **kwargs either, so passing the retired flag is a TypeError.
+        for method in (GRAFICS.predict, GRAFICS.predict_batch,
+                       OnlineInferenceEngine.predict,
+                       OnlineInferenceEngine.predict_batch,
+                       OnlineInferenceEngine._predict_group):
+            parameters = inspect.signature(method).parameters
+            assert "persist" not in parameters
+            assert all(p.kind is not p.VAR_KEYWORD
+                       for p in parameters.values())
+
+
+def _warm_started(split):
+    previous = fit_campus(split)
+    records = list(split.train_records)
+    kept = records[len(records) // 4:]
+    labels = {rid: floor for rid, floor in split.labels.items()
+              if rid in {r.record_id for r in kept}}
+    return GRAFICS(CONFIG).fit(kept, labels, warm_start=previous.embedding)
+
+
+def _loaded(split, tmp_path):
+    path = tmp_path / "model.npz"
+    save_model(fit_campus(split), path)
+    return load_model(path)
+
+
+@pytest.mark.parametrize("flavour", ["fitted", "pickled", "loaded",
+                                     "warm-started", "line"])
+def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
+                                             monkeypatch, tmp_path):
+    """Guard for the overlay's delta-only ``incident_edge_arrays``.
+
+    A served model's embedding covers every MAC of its graph, however the
+    model was made, so a cold predict trains only staged overlay nodes.
+    """
+    if flavour == "fitted":
+        model = fit_campus(campus_split)
+    elif flavour == "pickled":
+        model = pickle.loads(pickle.dumps(fit_campus(campus_split)))
+    elif flavour == "loaded":
+        model = _loaded(campus_split, tmp_path)
+    elif flavour == "warm-started":
+        model = _warm_started(campus_split)
+    else:
+        model = GRAFICS(GraficsConfig(
+            embedding=CONFIG.embedding, embedder="line",
+            allow_unreachable_clusters=True)).fit(
+                list(campus_split.train_records), campus_split.labels)
+    assert model.graph.unknown_mac_indices(model.embedding.mac_key_set()) == []
+
+    restrictions = []
+
+    class RecordingTrainer(EdgeSamplingTrainer):
+        def __init__(self, graph, *args, **kwargs):
+            super().__init__(graph, *args, **kwargs)
+            restrictions.append((graph.base_capacity,
+                                 kwargs["restrict_to_nodes"].copy()))
+
+    monkeypatch.setattr(eline_module, "EdgeSamplingTrainer", RecordingTrainer)
+    model.predict(SignalRecord(record_id="with-fresh-mac",
+                               rss={**probes[0].rss, "never-seen-mac": -70.0}))
+    model.predict_batch(probes[1:4])
+    model.predict_batch(probes[1:4], independent=True)
+    assert len(restrictions) == 5
+    for base_capacity, indices in restrictions:
+        assert indices.size and indices.min() >= base_capacity

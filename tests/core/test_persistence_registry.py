@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import GRAFICS, GraficsConfig, EmbeddingConfig, UnknownEnvironmentError
-from repro.core.persistence import load_model, load_registry, save_model, save_registry
+from repro.core.persistence import (
+    CheckpointCorruptError,
+    load_model,
+    load_registry,
+    save_model,
+    save_registry,
+)
 from repro.core.registry import MultiBuildingFloorService
 from repro.core.weighting import PowerWeight
 from repro.data import make_experiment_split, small_test_building
@@ -40,6 +48,34 @@ class TestPersistence:
         reloaded = [p.floor for p in restored.predict_batch(probes)]
         agreement = np.mean([a == b for a, b in zip(original, reloaded)])
         assert agreement >= 0.9
+
+    @pytest.mark.parametrize("dropped", ["last-record", "middle-record",
+                                         "mac"])
+    def test_edge_naming_unindexed_node_is_corrupt(self, trained_grafics,
+                                                   tmp_path, dropped):
+        """An edge list naming a node the saved index maps lack is corrupt.
+
+        ``last-record`` is the shape a model that grew a record after its
+        embedding was fitted would write: the rows stay contiguous, so the
+        index-preserving rebuild runs; ``middle-record`` takes the
+        non-contiguous fallback instead.
+        """
+        path = tmp_path / "grafics.npz"
+        save_model(trained_grafics, path)
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
+        if dropped == "mac":
+            del metadata["mac_index"][metadata["edges"][0][0]]
+        else:
+            rows = sorted(metadata["record_index"].items(), key=lambda kv: kv[1])
+            victim = rows[-1] if dropped == "last-record" else rows[len(rows) // 2]
+            del metadata["record_index"][victim[0]]
+        arrays["metadata"] = np.frombuffer(
+            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(CheckpointCorruptError, match="index maps"):
+            load_model(path)
 
     def test_custom_weight_function_round_trip(self, small_split, tmp_path):
         config = GraficsConfig(

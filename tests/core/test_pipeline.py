@@ -135,20 +135,11 @@ class TestOnlineInference:
             record_id="transient-sample",
             rss={**dict(list(small_split.test_records[0].rss.items())[:3]),
                  "never-seen-mac": -70.0})
-        trained_grafics.predict(sample, persist=False)
+        trained_grafics.predict(sample)
         assert trained_grafics.graph.num_records == records_before
         assert trained_grafics.graph.num_macs == macs_before
         assert not trained_grafics.graph.has_node(NodeKind.RECORD,
                                                   "transient-sample")
-
-    def test_persistent_prediction_keeps_record(self, small_split, fast_config):
-        model = GRAFICS(fast_config)
-        model.fit(list(small_split.train_records), small_split.labels)
-        before = model.graph.num_records
-        sample = small_split.test_records[1].without_floor()
-        model.predict(sample, persist=True)
-        assert model.graph.num_records == before + 1
-        assert model.engine.embedding.has_record(sample.record_id)
 
     def test_out_of_building_sample_rejected(self, trained_grafics):
         alien = record("alien", {"mac-from-another-town": -50.0})

@@ -90,18 +90,6 @@ class TestFullWorkflow:
                                                predicted).micro_f)
         assert max(scores) - min(scores) < 0.15
 
-    def test_persisted_online_samples_grow_the_model(self, small_building):
-        split = make_experiment_split(small_building, labels_per_floor=4, seed=5)
-        model = GRAFICS(FAST).fit(list(split.train_records), split.labels)
-        before = model.graph.num_records
-        batch = [r.without_floor() for r in split.test_records[:5]]
-        model.predict_batch(batch, persist=True)
-        assert model.graph.num_records == before + 5
-        # A later prediction can lean on the newly persisted records.
-        later = split.test_records[6].without_floor()
-        prediction = model.predict(later)
-        assert prediction.floor in model.cluster_model.floors
-
 
 class TestCrossBuildingIsolation:
     def test_models_are_independent_per_building(self):

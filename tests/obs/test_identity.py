@@ -84,11 +84,11 @@ class TestPredictionIdentity:
                   for record in split.test_records[:5]]
 
         obs.disable()
-        baseline = [model.predict(probe, persist=False) for probe in probes]
+        baseline = [model.predict(probe) for probe in probes]
 
         obs.enable(tracer=SpanTracer(clock=FakeClock(tick=0.01)))
         try:
-            traced = [model.predict(probe, persist=False) for probe in probes]
+            traced = [model.predict(probe) for probe in probes]
         finally:
             obs.disable()
 
@@ -102,7 +102,7 @@ class TestPredictionIdentity:
         probe = split.test_records[0].without_floor()
         tracer, _ = obs.enable(tracer=SpanTracer(clock=FakeClock(tick=0.01)))
         try:
-            model.predict(probe, persist=False)
+            model.predict(probe)
         finally:
             obs.disable()
         names = [span.name for span in tracer.spans()]
