@@ -44,9 +44,11 @@ class EmbeddingConfig:
     seed:
         Seed of the training random generator (``None`` for nondeterministic).
 
-    There is no kernel setting: fits always run the fused kernel and the
-    frozen online update always runs the reference kernel's trainable-row
-    path (see :mod:`repro.core.embedding.kernels`).
+    There is no kernel or sampler setting: fits always run the fused
+    kernel over alias-sampled edges, and the frozen online update always
+    runs the reference kernel's masked step over inverse-CDF draws of the
+    new nodes' incident edges (see :mod:`repro.core.embedding.kernels` and
+    ``ELINEEmbedder.embed_new_nodes_arrays``).
     """
 
     dimension: int = 8
@@ -102,6 +104,16 @@ class GraphEmbedding:
     _mac_keys: frozenset[str] | None = field(default=None, init=False,
                                              repr=False, compare=False)
 
+    def __getstate__(self) -> dict:
+        """Pickle support: the cached MAC key set is derived, not state.
+
+        It is dropped and rebuilt lazily, so an embedding pickles to the
+        same bytes whether or not it has served.
+        """
+        state = self.__dict__.copy()
+        state["_mac_keys"] = None
+        return state
+
     @property
     def dimension(self) -> int:
         return int(self.ego.shape[1])
@@ -109,9 +121,9 @@ class GraphEmbedding:
     def mac_key_set(self) -> frozenset[str]:
         """The embedded MAC vocabulary as a set, built once per embedding.
 
-        The incremental embedder needs "which graph MACs am I missing?" on
-        every online prediction; caching the key set here keeps that check a
-        C-level set difference instead of a per-call set build.
+        "Which graph MACs does this embedding miss?" is asked by the
+        mutated-graph route of the incremental embedder and once per online
+        engine; caching the key set keeps it a C-level set difference.
         """
         if self._mac_keys is None:
             self._mac_keys = frozenset(self.mac_index)

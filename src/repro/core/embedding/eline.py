@@ -13,21 +13,29 @@ that only overlap through intermediate records.
 The class also implements *incremental embedding* of nodes added after the
 initial fit (Section V-A): the new node's ego and context vectors are trained
 while every other embedding stays frozen, which is cheap enough for real-time
-online inference.  Fits run the fused kernel; the frozen update runs the
-reference kernel's trainable-row path (the trainer picks by call).
+online inference.  Fits run :class:`EdgeSamplingTrainer` (the fused kernel);
+the frozen update is a function of its own that trains only the new rows
+with the reference kernel's masked step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import replace
 
 import numpy as np
 
 from ...obs import runtime as obs
 from ..graph import BipartiteGraph, NodeKind
-from .base import GraphEmbedder, GraphEmbedding
-from .trainer import EdgeSamplingTrainer, ObjectiveTerms
+from ..overlay import GraphOverlay
+from .base import EmbeddingConfig, GraphEmbedder, GraphEmbedding
+from .kernels import ReferenceKernel
+from .sampler import DeltaNegativeSampler, NegativeSampler
+from .trainer import (
+    _SAMPLER_CACHE,
+    EdgeSamplingTrainer,
+    ObjectiveTerms,
+    batch_schedule,
+)
 
 __all__ = ["ELINEEmbedder"]
 
@@ -97,12 +105,11 @@ class ELINEEmbedder(GraphEmbedder):
                               training_loss=list(embedding.training_loss) + losses)
 
     def embed_new_nodes_arrays(
-            self, graph: BipartiteGraph, embedding: GraphEmbedding,
-            new_record_ids: list[str],
+            self, graph: BipartiteGraph | GraphOverlay,
+            embedding: GraphEmbedding, new_record_ids: list[str],
             samples_per_new_edge: float | None = None,
-            edge_scratch=None,
     ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """The array-level core of :meth:`embed_new_nodes`.
+        """The array-level core of :meth:`embed_new_nodes`: the frozen update.
 
         Returns ``(ego, context, losses)`` over the enlarged index space
         without assembling a :class:`GraphEmbedding`: the online engine
@@ -110,77 +117,132 @@ class ELINEEmbedder(GraphEmbedder):
         the training-loss history.  ``graph`` may be the mutated base graph
         or a :class:`~repro.core.overlay.GraphOverlay` presenting the staged
         records over a frozen base; neither ``graph`` nor ``embedding`` is
-        written.  Both train on the same positive edges
-        and the same negative-sampling distribution; the overlay composes
-        its negative sampler from the base graph's cached parts, so its draw
-        sequence differs from the mutated graph's.  ``edge_scratch``
-        optionally carries an :class:`~repro.core.graph.EdgeArrayScratch`
-        reused across consecutive same-shaped calls (the serving engine's
-        per-thread buffers); results are identical with or without it.
+        written.
+
+        The trainable rows are the overlay's staged nodes (every index past
+        the base capacity) or, on a mutated graph, the named records plus
+        the MACs ``embedding`` lacks.  Their fresh rows are trained against
+        the frozen rest with the reference kernel's masked step; positive
+        edges are the trainable nodes' incident edges, drawn by inverse CDF,
+        and negatives come from the noise distribution of the whole
+        (enlarged) graph.  Both routes train on the same positive edges and
+        the same negative-sampling distribution; the overlay composes its
+        negative sampler from the base graph's cached parts, so its draw
+        sequence differs from the mutated graph's.
         """
         with obs.span("online.embed") as embed_span:
             embed_span.set("new_records", len(new_record_ids))
-            return self._embed_new_nodes_arrays(graph, embedding,
-                                                new_record_ids,
-                                                samples_per_new_edge,
-                                                edge_scratch=edge_scratch)
+            for record_id in new_record_ids:
+                if embedding.has_record(record_id):
+                    raise ValueError(
+                        f"record {record_id!r} is already embedded")
+                if not graph.has_node(NodeKind.RECORD, record_id):
+                    raise ValueError(
+                        f"record {record_id!r} is not in the graph")
+            per_edge = (samples_per_new_edge
+                        if samples_per_new_edge is not None
+                        else self.config.samples_per_edge)
+            return _frozen_update(graph, embedding, new_record_ids,
+                                  self.config, per_edge)
 
-    def _embed_new_nodes_arrays(
-            self, graph: BipartiteGraph, embedding: GraphEmbedding,
-            new_record_ids: list[str],
-            samples_per_new_edge: float | None = None,
-            edge_scratch=None,
-    ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        for record_id in new_record_ids:
-            if embedding.has_record(record_id):
-                raise ValueError(f"record {record_id!r} is already embedded")
-            if not graph.has_node(NodeKind.RECORD, record_id):
-                raise ValueError(f"record {record_id!r} is not in the graph")
 
-        capacity = graph.index_capacity
-        dim = self.config.dimension
-        rng = np.random.default_rng(self.config.seed)
-        scale = self.config.init_scale / dim
+def _frozen_inputs(graph: BipartiteGraph | GraphOverlay,
+                   embedding: GraphEmbedding, new_record_ids: list[str],
+                   ) -> tuple[np.ndarray,
+                              tuple[np.ndarray, np.ndarray, np.ndarray],
+                              NegativeSampler | DeltaNegativeSampler]:
+    """What the frozen update trains on.
 
-        trainable = np.zeros(capacity, dtype=bool)
-        for record_id in new_record_ids:
-            node = graph.get_node(NodeKind.RECORD, record_id)
-            trainable[node.index] = True
-        # MAC nodes unseen by the original embedding are trainable too.
-        for index in graph.unknown_mac_indices(embedding.mac_key_set()):
-            trainable[index] = True
+    Returns the sorted trainable node indices, the ``(sources, targets,
+    weights)`` arrays of their incident edges and the negative sampler.
+    On an overlay the trainable rows are exactly the staged ones: the
+    online engine has checked once that its embedding covers every base
+    MAC, so no base row needs training, and the negatives patch the
+    version-cached base sampler with the staged delta.  On a mutated graph
+    they are the named records plus the MACs ``embedding`` lacks, and the
+    negatives come from the graph's full, version-cached sampler.
+    """
+    if isinstance(graph, GraphOverlay):
+        trainable = np.arange(graph.base_capacity, graph.index_capacity,
+                              dtype=np.int64)
+        negatives = _SAMPLER_CACHE.delta_negative_sampler(graph)
+    else:
+        indices = [graph.get_node(NodeKind.RECORD, record_id).index
+                   for record_id in new_record_ids]
+        indices += graph.unknown_mac_indices(embedding.mac_key_set())
+        trainable = np.unique(np.asarray(indices, dtype=np.int64))
+        negatives = _SAMPLER_CACHE.negative_sampler(graph)
+    edges = graph.incident_edge_arrays(trainable)
+    if edges[0].size == 0:
+        raise ValueError("the frozen update selects no edges; the new nodes "
+                         "are isolated")
+    return trainable, edges, negatives
 
-        # Frozen rows are copied; only the trainable rows draw fresh random
-        # vectors.  Drawing a full capacity-sized matrix instead would tie
-        # the initialisation (and hence the prediction) to how many retired
-        # indices the graph has accumulated, making repeated online
-        # predictions of the same record drift apart.  Rows that are neither
-        # frozen nor trainable are retired indices; they are never read.
-        ego = np.zeros((capacity, dim))
-        context = np.zeros((capacity, dim))
-        old_rows = min(embedding.ego.shape[0], capacity)
-        ego[:old_rows] = embedding.ego[:old_rows]
-        context[:old_rows] = embedding.context[:old_rows]
-        new_indices = np.flatnonzero(trainable)
-        if new_indices.size:
-            # One block draw, shaped so the generator consumes doubles in
-            # the historical per-row order (ego row, then context row, per
-            # index) — byte-identical to the former per-index loop.
-            fresh = rng.uniform(-scale, scale,
-                                size=(new_indices.size, 2, dim))
-            ego[new_indices] = fresh[:, 0, :]
-            context[new_indices] = fresh[:, 1, :]
 
-        # The objective restricted to the new nodes only involves their own
-        # incident edges, so the positive sampler is built over that subset:
-        # this is what makes online inference cheap (Section V-A).  The
-        # ``trainable`` mask routes every batch to the reference kernel's
-        # frozen path, which touches only the handful of trainable rows.
-        per_edge = (samples_per_new_edge if samples_per_new_edge is not None
-                    else self.config.samples_per_edge)
-        incremental_config = replace(self.config, samples_per_edge=per_edge)
-        trainer = EdgeSamplingTrainer(graph, incremental_config, _ELINE_TERMS,
-                                      restrict_to_nodes=new_indices,
-                                      edge_scratch=edge_scratch)
-        losses = trainer.train(ego, context, trainable=trainable)
-        return ego, context, losses
+def _frozen_update(graph: BipartiteGraph | GraphOverlay,
+                   embedding: GraphEmbedding, new_record_ids: list[str],
+                   config: EmbeddingConfig, samples_per_edge: float,
+                   ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Train the new nodes' rows against the frozen embedding (Section V-A).
+
+    Everything is drawn up front — the fresh rows, then every positive
+    edge and its negatives — and the batches run through
+    :meth:`ReferenceKernel.train_batch` under a mask of the trainable rows,
+    on the learning-rate schedule of a fit.
+    """
+    with obs.span("embed.alias_build") as alias_span:
+        trainable, (sources, targets, weights), negative_sampler = \
+            _frozen_inputs(graph, embedding, new_record_ids)
+        alias_span.set("edges", sources.size)
+        alias_span.set("negatives", "delta" if isinstance(graph, GraphOverlay)
+                       else "full")
+
+    capacity = graph.index_capacity
+    dim = config.dimension
+    scale = config.init_scale / dim
+    rng = np.random.default_rng(config.seed)
+    # Frozen rows are copied; only the trainable rows draw fresh random
+    # vectors.  Drawing a full capacity-sized matrix instead would tie the
+    # initialisation (and hence the prediction) to how many retired indices
+    # the graph has accumulated, making repeated online predictions of the
+    # same record drift apart.  Rows that are neither frozen nor trainable
+    # are retired indices; they are never read.  The block draw consumes
+    # doubles per row in the order ego row, then context row.
+    ego = np.zeros((capacity, dim))
+    context = np.zeros((capacity, dim))
+    old_rows = min(embedding.ego.shape[0], capacity)
+    ego[:old_rows] = embedding.ego[:old_rows]
+    context[:old_rows] = embedding.context[:old_rows]
+    fresh = rng.uniform(-scale, scale, size=(trainable.size, 2, dim))
+    ego[trainable] = fresh[:, 0, :]
+    context[trainable] = fresh[:, 1, :]
+    mask = np.zeros(capacity, dtype=bool)
+    mask[trainable] = True
+
+    total = max(1, int(samples_per_edge * sources.size))
+    with obs.span("embed.sampling") as sampling_span:
+        sampling_span.set("samples", total)
+        # Following LINE, each undirected edge is two directed edges of its
+        # weight; one uniform per sample picks a directed edge by inverse
+        # CDF over the handful of incident edges.  ``u * cdf[-1] <
+        # cdf[-1]`` for every ``u < 1`` under round-to-nearest, so a
+        # right-sided search never runs past the last edge.
+        cdf = np.cumsum(np.concatenate((weights, weights)))
+        picks = np.searchsorted(cdf, rng.random(total) * cdf[-1],
+                                side="right")
+        heads = np.concatenate((sources, targets))[picks]
+        tails = np.concatenate((targets, sources))[picks]
+        negatives = negative_sampler.sample(total, config.negative_samples,
+                                            rng)
+
+    kernel = ReferenceKernel()
+    losses: list[float] = []
+    with obs.span("embed.kernel") as kernel_span:
+        kernel_span.set("samples", total)
+        for start, stop, lr in batch_schedule(config, total):
+            loss = kernel.train_batch(
+                ego, context, heads[start:stop], tails[start:stop],
+                negatives[start:stop], learning_rate=lr, terms=_ELINE_TERMS,
+                config=config, rng=rng, trainable=mask)
+            losses.append(loss / (stop - start))
+    return ego, context, losses

@@ -1,13 +1,13 @@
 """Mini-batch update kernels of the edge-sampling SGD engine.
 
-The :class:`~repro.core.embedding.trainer.EdgeSamplingTrainer` owns *what* to
-train on (sampled edges, negatives, the learning-rate schedule); a kernel owns
-*how* one mini-batch updates the embedding tables.  The trainer picks the
-kernel from the call itself — there is no setting:
+The caller owns *what* to train on (sampled edges, negatives, the
+learning-rate schedule); a kernel owns *how* one mini-batch updates the
+embedding tables.  Each caller has its own kernel — there is no setting:
 
 * :class:`FusedKernel` trains every full fit (``GRAFICS.fit``, ``fit_model``,
-  service and stream retrains).  It processes all enabled objective terms
-  from one pre-batch snapshot of the tables:
+  service and stream retrains), called by
+  :class:`~repro.core.embedding.trainer.EdgeSamplingTrainer`.  It processes
+  all enabled objective terms from one pre-batch snapshot of the tables:
 
   - the positive target and the ``K`` negative targets are gathered as one
     ``(B, K+1)`` row block, so scores, sigmoids and loss terms for positives
@@ -31,13 +31,13 @@ kernel from the call itself — there is no setting:
   suite keeps that step as an oracle and pins the fused kernel to it within
   tolerance per batch and at equal floor accuracy over whole test splits.
 
-* :class:`ReferenceKernel` is the frozen online update of new records
-  (Section V-A): one skip-gram step per objective term, computing and
-  scattering gradients for the handful of ``trainable`` rows only.  Its
-  updates are the same values in the same accumulation order as the
-  historical full-batch-then-mask scatter (whose masked-out updates were
-  exact zeros), so online prediction bytes for a given fitted embedding are
-  unchanged while the per-batch cost tracks the trainable rows.
+* :class:`ReferenceKernel` is the step of the frozen online update of new
+  records (Section V-A, ``ELINEEmbedder.embed_new_nodes_arrays``): one
+  skip-gram step per objective term, computing and scattering gradients for
+  the handful of ``trainable`` rows only.  Its updates are the same values
+  in the same accumulation order as a full-batch-then-mask scatter (whose
+  masked-out updates are exact zeros), while the per-batch cost tracks the
+  trainable rows.
 
 A kernel may keep scratch buffers, so one instance serves one training run
 (it is not shared across threads).

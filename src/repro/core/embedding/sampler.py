@@ -69,9 +69,9 @@ class AliasTable:
         self._weights = weights / total
 
         if n <= 2:
-            # Closed form of the Walker pairing for the tiny tables the
-            # per-predict restricted edge samplers build (one or two incident
-            # edges): a single entry is always a leftover, and two entries
+            # Closed form of the Walker pairing for tiny tables (a delta
+            # negative table over one or two overlay-affected indices): a
+            # single entry is always a leftover, and two entries
             # pair at most once — only when exactly one of them is small,
             # which writes the small entry's scaled probability and aliases
             # it to the other.  Bit-identical to the general loop below
@@ -394,21 +394,20 @@ class SamplerCache:
     :attr:`~repro.core.graph.BipartiteGraph.version` counter: any mutation
     bumps the version, so a cached sampler is only ever returned for the
     exact graph state it was built from — a hit is byte-identical to a fresh
-    construction (samplers are immutable once built).  Repeated trainer
-    constructions over an *unchanged* graph (joint ``embed_new_nodes``
-    batches at one version, repeated fits/ablations on one graph) reuse the
-    alias tables instead of re-running the O(V+E) builds.  Online
+    construction (samplers are immutable once built).  Repeated fits and
+    ablations over an *unchanged* graph, and repeated mutated-graph
+    ``embed_new_nodes`` calls at one version, reuse the alias tables
+    instead of re-running the O(V+E) builds.  Online
     inference stages its probe records on a ``GraphOverlay`` instead of
     mutating the graph, so the graph's version — and therefore any entry
     cached here — survives arbitrarily many predictions.
     An overlay (an ephemeral view, one per prediction) is never a cache
     key itself: its negative sampler is *composed* from the base graph's
     cached negative sampler (:meth:`delta_negative_sampler`), shrinking
-    the per-predict build to the staged delta, and its restricted edge
-    sampler is memoised under the base graph's entry
-    (:meth:`restricted_edge_sampler`).  Cold predicts therefore only read
-    an entry a fit in this process already populated; a loaded or
-    unpickled model's first cold predict adds the base negative sampler.
+    the per-predict build to the staged delta; its positive edges are
+    drawn without an alias table.  Cold predicts therefore only read an
+    entry a fit in this process already populated; a loaded or unpickled
+    model's first cold predict adds the base negative sampler.
 
     Lookups take a short global lock; sampler construction itself happens
     outside it, so concurrent builds for different graphs (sharded serving)
@@ -483,40 +482,6 @@ class SamplerCache:
     #: repeated probes; overflow clears the memo (the parts it composes
     #: over stay cached, so a refill costs only the tiny delta builds).
     DELTA_MEMO_CAPACITY = 128
-
-    def restricted_edge_sampler(self, base, sources: np.ndarray,
-                                targets: np.ndarray,
-                                weights: np.ndarray) -> EdgeSampler:
-        """Memoised :class:`EdgeSampler` over restricted incident edges.
-
-        ``base`` is the graph whose cache entry holds the memo: an
-        overlay's base graph, or the graph itself when the restricted
-        trainer runs on a plain (mutated) graph.  Keyed by the edge-array
-        *content* (and ``base``'s version via the entry), so a re-predicted
-        record — whose staged overlay yields byte-identical restricted
-        arrays — skips the alias build; a hit is byte-identical to a fresh
-        ``EdgeSampler`` over the same arrays.  The sampler is built over
-        private copies: callers routinely pass scratch-buffer views that
-        the next prediction overwrites in place.
-        """
-        key = (sources.tobytes(), targets.tobytes(), weights.tobytes())
-        with self._lock:
-            entry = self._entries.get(base)
-            if entry is not None and entry["version"] == base.version:
-                memoised = entry.get("restricted_edge", {}).get(key)
-                if memoised is not None:
-                    self.hits += 1
-                    obs.metric_increment("sampler_cache_hits_total")
-                    return memoised
-        sampler = EdgeSampler(sources.copy(), targets.copy(), weights.copy())
-        with self._lock:
-            current = self._entries.get(base)
-            if current is not None and current["version"] == base.version:
-                memo = current.setdefault("restricted_edge", {})
-                if len(memo) >= self.DELTA_MEMO_CAPACITY:
-                    memo.clear()
-                memo[key] = sampler
-        return sampler
 
     def delta_negative_sampler(self, overlay) -> DeltaNegativeSampler:
         """Compose the overlay's staged delta with its base's cached parts.

@@ -30,47 +30,7 @@ import numpy as np
 from .types import FingerprintDataset, SignalRecord
 from .weighting import OffsetWeight, WeightFunction
 
-__all__ = ["NodeKind", "Node", "Edge", "EdgeArrayScratch", "BipartiteGraph",
-           "build_graph"]
-
-
-class EdgeArrayScratch:
-    """Reusable output buffers for ``incident_edge_arrays``.
-
-    Consecutive online probes stage same-shaped deltas (one record, a
-    handful of observed MACs), so the restricted edge arrays built per
-    prediction keep the same length from probe to probe; on a size match
-    the previous buffers are refilled in place instead of allocating three
-    fresh arrays.  The caller owns the lifetime: buffers are overwritten by
-    the next call, so they must not outlive the sampler built from them
-    (per-predict trainers never do), and one scratch must not be shared
-    across threads (the inference engine keeps one per thread).
-    """
-
-    __slots__ = ("sources", "targets", "weights", "reuses")
-
-    def __init__(self) -> None:
-        self.sources: np.ndarray | None = None
-        self.targets: np.ndarray | None = None
-        self.weights: np.ndarray | None = None
-        #: Number of calls that reused the buffers (introspection/tests).
-        self.reuses = 0
-
-    def fill(self, source_chunks: list[int], target_chunks: list[int],
-             weight_chunks: list[float],
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays over the chunk lists, reusing the buffers on a size match."""
-        count = len(source_chunks)
-        if self.sources is not None and self.sources.size == count:
-            self.sources[:] = source_chunks
-            self.targets[:] = target_chunks
-            self.weights[:] = weight_chunks
-            self.reuses += 1
-        else:
-            self.sources = np.asarray(source_chunks, dtype=np.int64)
-            self.targets = np.asarray(target_chunks, dtype=np.int64)
-            self.weights = np.asarray(weight_chunks, dtype=np.float64)
-        return self.sources, self.targets, self.weights
+__all__ = ["NodeKind", "Node", "Edge", "BipartiteGraph", "build_graph"]
 
 
 class NodeKind(str, Enum):
@@ -146,18 +106,22 @@ class BipartiteGraph:
 
     # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        """Pickle support: the flush lock is process-local, not state.
+        """Pickle support: only the graph's content is state.
 
         A pickled graph is the serialization seam of the compute-pool /
         process-per-shard path: read-only model snapshots ship to worker
-        processes once per generation.  Everything else round-trips by
-        value (arrays, adjacency dicts, version counter), so the restored
-        graph is bit-identical to the source — including the version-keyed
-        caches, which stay valid because they travel with the version they
-        were built against.
+        processes once per generation.  The content round-trips by value
+        (arrays, adjacency dicts, version counter), so the restored graph
+        is bit-identical to the source.  The flush lock is process-local,
+        and the version-keyed index-map and vocabulary caches are derived:
+        they are dropped and rebuilt lazily, so a graph pickles to the same
+        bytes whether or not it has served.
         """
         state = self.__dict__.copy()
         state["_degree_flush_lock"] = None
+        state["_record_map_cache"] = None
+        state["_mac_map_cache"] = None
+        state["_mac_vocabulary_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -392,18 +356,14 @@ class BipartiteGraph:
 
     def incident_edge_arrays(
             self, node_indices: np.ndarray,
-            scratch: EdgeArrayScratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(sources, targets, weights)`` over edges incident to given nodes.
 
         Exactly the subset (and the order) a mask filter over
         :meth:`edge_arrays` would keep, but built from the adjacency of the
         restricted nodes alone — O(incident edges), independent of |E|.
-        This is what makes per-prediction trainer construction in the online
-        path cheap.  Indices of retired nodes select nothing.  ``scratch``
-        optionally reuses a previous call's output buffers when the edge
-        count matches (see :class:`EdgeArrayScratch` for the ownership
-        rules); the returned values are identical either way.
+        These are the positive edges of the frozen online update.  Indices
+        of retired nodes select nothing.
         """
         wanted = np.zeros(self.index_capacity, dtype=bool)
         wanted[np.asarray(node_indices, dtype=np.int64)] = True
@@ -426,8 +386,6 @@ class BipartiteGraph:
                     source_chunks.append(mac_index)
                     target_chunks.append(record_index)
                     weight_chunks.append(weight)
-        if scratch is not None:
-            return scratch.fill(source_chunks, target_chunks, weight_chunks)
         return (np.asarray(source_chunks, dtype=np.int64),
                 np.asarray(target_chunks, dtype=np.int64),
                 np.asarray(weight_chunks, dtype=np.float64))

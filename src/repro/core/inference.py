@@ -8,7 +8,8 @@ Given a trained graph, embedding and cluster model, the
    nodes are staged on demand) — the shared graph itself is not touched;
 2. its ego/context embeddings are trained against the overlay while every
    previously learned embedding stays frozen
-   (:meth:`ELINEEmbedder.embed_new_nodes_arrays`);
+   (:meth:`ELINEEmbedder.embed_new_nodes_arrays`, which trains exactly the
+   staged rows);
 3. its floor is predicted as the label of the cluster whose centroid is
    nearest in the ego embedding space.
 
@@ -17,11 +18,13 @@ prediction writes neither the graph nor the embedding, so the graph's
 version counter (and every cache keyed on it) survives arbitrarily many
 predictions, concurrent predictions against one model need no mutual
 exclusion, and a pickled twin serves the same bytes (test-enforced).
-Against the historical mutate-in-place path the sampler inputs are equal
-bit for bit — positive edge arrays and negative-sampling probabilities —
-while the draw sequence differs, because the negative sampler is composed
-from the base graph's cached table instead of being rebuilt per
-prediction.
+Against the mutate-the-graph route the sampler inputs are equal bit for
+bit — positive edge arrays with their weights and negative-sampling
+probabilities — while the draw sequence differs, because the negative
+sampler is composed from the base graph's cached table instead of being
+rebuilt per prediction.  Training only the staged rows is exact because a
+served model's embedding covers every MAC of its graph; each engine checks
+that once, on its first predict.
 
 A sample whose MAC addresses are *all* unseen carries no information that
 connects it to the building; the paper discards such samples as likely
@@ -31,7 +34,6 @@ collected outside the building, and this engine raises
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,7 +43,7 @@ from ..obs import runtime as obs
 from .clustering.model import ClusterModel
 from .embedding.base import GraphEmbedding
 from .embedding.eline import ELINEEmbedder
-from .graph import BipartiteGraph, EdgeArrayScratch, NodeKind
+from .graph import BipartiteGraph, NodeKind
 from .overlay import GraphOverlay
 from .types import SignalRecord
 
@@ -87,11 +89,24 @@ class OnlineInferenceEngine:
         self.embedding = embedding
         self.cluster_model = cluster_model
         self.embedder = embedder or ELINEEmbedder(embedding.config)
-        # Per-thread scratch buffers for the restricted incident-edge arrays
-        # (consecutive cold predictions usually stage same-shaped deltas).
-        # Thread-local: the buffers are reused in place, so they must never
-        # be visible to a concurrent prediction.
-        self._scratch = threading.local()
+        self._covered = False
+
+    def _check_coverage(self) -> None:
+        """Check once that the embedding covers every MAC of the graph.
+
+        The frozen update on an overlay trains only the staged rows; that is
+        the objective of the mutated graph only while no base MAC lacks an
+        embedding row.  A fitted, pickled, loaded or warm-started model
+        always satisfies this, and a served model is immutable, so one check
+        per engine replaces a per-predict vocabulary difference.
+        """
+        unknown = self.graph.unknown_mac_indices(self.embedding.mac_key_set())
+        if unknown:
+            raise ValueError(
+                f"embedding lacks base index {min(unknown)}; an overlay "
+                "trains only staged nodes (indices >= "
+                f"{self.graph.index_capacity})")
+        self._covered = True
 
     # -------------------------------------------------------------- inference
     def predict(self, record: SignalRecord) -> FloorPrediction:
@@ -141,6 +156,8 @@ class OnlineInferenceEngine:
         with obs.span("online.predict") as predict_span:
             predict_span.set("records", len(records))
             with obs.span("online.stage"):
+                if not self._covered:
+                    self._check_coverage()
                 known_macs = self.graph.mac_vocabulary()
                 for record in records:
                     if self.graph.has_node(NodeKind.RECORD, record.record_id):
@@ -156,13 +173,9 @@ class OnlineInferenceEngine:
                 for record in records:
                     overlay.add_record(record)
 
-            scratch = getattr(self._scratch, "edges", None)
-            if scratch is None:
-                scratch = self._scratch.edges = EdgeArrayScratch()
             ego, _, _ = self.embedder.embed_new_nodes_arrays(
                 overlay, self.embedding,
-                [record.record_id for record in records],
-                edge_scratch=scratch)
+                [record.record_id for record in records])
 
             with obs.span("online.classify"):
                 predictions = []

@@ -14,8 +14,8 @@ introduce) are allocated dense indices *past* the base graph's
 ``index_capacity``, and every composed view — incident-edge arrays over
 the staged nodes, the weighted degree array, node lookups — is built from
 base + delta exactly as the mutated graph would have built it, bit for bit
-(test-enforced).  The embedding trainer therefore optimises exactly the
-objective the historical mutating path did: the same positive edges, and a
+(test-enforced).  The frozen online update therefore optimises exactly the
+objective the mutate-the-graph route does: the same positive edges, and a
 negative sampler composed from the base graph's cached table whose
 per-index probabilities equal a full rebuild's.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import BipartiteGraph, EdgeArrayScratch, Node, NodeKind
+from .graph import BipartiteGraph, Node, NodeKind
 from .types import SignalRecord
 
 __all__ = ["StaleOverlayError", "GraphOverlay"]
@@ -45,15 +45,10 @@ class GraphOverlay:
 
     Duck-types the subset of :class:`BipartiteGraph` the cold online path
     reads (``index_capacity``, ``num_edges``, node lookups,
-    ``unknown_mac_indices``, ``incident_edge_arrays`` over staged nodes,
-    ``degree_array``), with every view composed from the immutable base and
-    the overlay's private delta.
+    ``incident_edge_arrays`` over staged nodes, ``degree_array``), with
+    every view composed from the immutable base and the overlay's private
+    delta.
     """
-
-    #: Marks overlay views for code that must treat them differently from a
-    #: real graph (the trainer's sampler cache keys on graph identity and
-    #: version; an ephemeral overlay is never worth caching against).
-    is_overlay = True
 
     def __init__(self, base: BipartiteGraph) -> None:
         self.base = base
@@ -198,7 +193,6 @@ class GraphOverlay:
 
     def incident_edge_arrays(
             self, node_indices: np.ndarray,
-            scratch: EdgeArrayScratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(sources, targets, weights)`` over edges incident to staged nodes.
 
@@ -210,9 +204,7 @@ class GraphOverlay:
         embedding covers every base MAC — so no base edge can qualify and
         only the delta is walked: O(staged edges), independent of both |E|
         and the degree of the touched MACs.  A base index raises
-        :class:`ValueError`.  ``scratch`` optionally reuses a previous
-        call's output buffers when the edge count matches; the returned
-        values are identical either way.
+        :class:`ValueError`.
         """
         self._check_live()
         wanted_indices = np.asarray(node_indices, dtype=np.int64)
@@ -244,26 +236,9 @@ class GraphOverlay:
                     source_chunks.append(mac_index)
                     target_chunks.append(record_index)
                     weight_chunks.append(weight)
-        if scratch is not None:
-            return scratch.fill(source_chunks, target_chunks, weight_chunks)
         return (np.asarray(source_chunks, dtype=np.int64),
                 np.asarray(target_chunks, dtype=np.int64),
                 np.asarray(weight_chunks, dtype=np.float64))
-
-    # ------------------------------------------------------------- vocabulary
-    def unknown_mac_indices(self, known: frozenset[str] | set[str]) -> list[int]:
-        """Indices of base + delta MAC nodes missing from ``known``.
-
-        The base part is one cached set difference
-        (:meth:`BipartiteGraph.unknown_mac_indices`); the delta part only
-        walks the staged MACs, keeping the online hot path O(delta).
-        """
-        self._check_live()
-        indices = self.base.unknown_mac_indices(known)
-        for (kind, key), node in self._delta_nodes.items():
-            if kind is NodeKind.MAC and key not in known:
-                indices.append(node.index)
-        return indices
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GraphOverlay(base={self.base!r}, "

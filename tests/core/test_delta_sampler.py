@@ -291,13 +291,3 @@ class TestDeltaModeServing:
         assert first.floor == second.floor
         assert first.distance == second.distance
         np.testing.assert_array_equal(first.embedding, second.embedding)
-
-    def test_engine_scratch_buffers_reused(self, campus):
-        model, split = campus
-        engine = model.engine
-        probe = split.test_records[2].without_floor()
-        for _ in range(3):
-            engine.predict(probe)
-        scratch = engine._scratch.edges
-        assert scratch is not None
-        assert scratch.reuses >= 1

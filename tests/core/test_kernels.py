@@ -1,7 +1,8 @@
 """Tests for the two training kernels: fused fits and the frozen update.
 
-Every fit dispatches to ``FusedKernel`` and the frozen online update to
-``ReferenceKernel``; the trainer picks by call, not by setting.  The
+Every fit dispatches to ``FusedKernel`` (in ``EdgeSamplingTrainer``) and
+the frozen online update to ``ReferenceKernel`` (outside it); there is no
+setting.  The
 historical full-table fit step lives on as a test oracle
 (``kernel_oracle``), against which the fused kernel is pinned per batch and
 by floor accuracy over whole test splits.
@@ -20,7 +21,12 @@ import pytest
 from repro import GRAFICS, GraficsConfig
 from repro.core.embedding import EmbeddingConfig
 from repro.core.embedding.kernels import FusedKernel, ReferenceKernel
-from repro.core.embedding.trainer import EdgeSamplingTrainer, ObjectiveTerms
+from repro.core.embedding.sampler import AliasTable, EdgeSampler
+from repro.core.embedding.trainer import (
+    EdgeSamplingTrainer,
+    ObjectiveTerms,
+    batch_schedule,
+)
 from repro.core.graph import build_graph
 from repro.core.types import FingerprintDataset, SignalRecord
 from repro.data import (
@@ -83,8 +89,8 @@ def _building(split, building_id):
 
 
 class TestFitDispatch:
-    """The trainer picks the kernel from the call: fits run fused, the
-    frozen update runs the reference kernel's trainable-row path."""
+    """Fits run the fused kernel in :class:`EdgeSamplingTrainer`; the frozen
+    online update runs the reference kernel's masked step, outside it."""
 
     def test_fit_batches_run_fused(self, preset_split, dispatches):
         model = GRAFICS(CONFIG).fit(list(preset_split.train_records),
@@ -94,16 +100,33 @@ class TestFitDispatch:
         assert dispatches == {"fused": batches, "reference": 0}
 
     def test_cold_predict_runs_frozen_path_only(self, preset_split,
-                                                dispatches):
+                                                dispatches, monkeypatch):
         model = GRAFICS(CONFIG).fit(list(preset_split.train_records),
                                     preset_split.labels)
         _reset(dispatches)
+        built = {EdgeSamplingTrainer: 0, EdgeSampler: 0, AliasTable: 0}
+        for owner in built:
+            original = owner.__dict__["__init__"]
+
+            def counted(self, *args, _owner=owner, _original=original,
+                        **kwargs):
+                built[_owner] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "__init__", counted)
         probes = [r.without_floor() for r in preset_split.test_records[:4]]
-        model.predict(probes[0])
+        for probe in probes:
+            # A fresh scan composes its delta negative table and nothing
+            # else: the base tables are cached, positives need no table.
+            tables = built[AliasTable]
+            model.predict(probe)
+            assert built[AliasTable] - tables <= 1
         model.predict_batch(probes)
         model.predict_batch(probes, independent=True)
         assert dispatches["fused"] == 0
         assert dispatches["reference"] > 0
+        assert built[EdgeSamplingTrainer] == 0
+        assert built[EdgeSampler] == 0
 
 
 def _train(graph, *, oracle=False, dropout=0.1, seed=0, total_samples=None,
@@ -172,15 +195,20 @@ class TestFusedKernelNumerics:
         assert np.abs(ego_f - ego_r).max() < 0.25
 
     def test_frozen_rows_never_change(self, medium_graph):
-        """A ``trainable`` mask routes training to the frozen path: masked
-        rows keep their bytes, trainable rows move."""
+        """The frozen update's masked reference step: masked rows keep
+        their bytes, trainable rows move."""
         trainable = np.zeros(medium_graph.index_capacity, dtype=bool)
         trainable[:3] = True
         config = EmbeddingConfig(seed=0, samples_per_edge=50.0)
         trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
         ego, context = trainer.initial_embeddings()
         ego_before, context_before = ego.copy(), context.copy()
-        trainer.train(ego, context, trainable=trainable)
+        kernel, rng = ReferenceKernel(), np.random.default_rng(0)
+        for start, stop, lr in batch_schedule(config, trainer.total_samples()):
+            heads, tails, negatives = trainer._sample_batch(stop - start)
+            kernel.train_batch(ego, context, heads, tails, negatives,
+                               learning_rate=lr, terms=ELINE_TERMS,
+                               config=config, rng=rng, trainable=trainable)
         np.testing.assert_array_equal(ego[~trainable], ego_before[~trainable])
         np.testing.assert_array_equal(context[~trainable],
                                       context_before[~trainable])

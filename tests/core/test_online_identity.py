@@ -47,8 +47,9 @@ from repro.core.embedding.trainer import (
     ObjectiveTerms,
     clear_sampler_cache,
 )
-from repro.core.graph import NodeKind
+from repro.core.graph import BipartiteGraph, NodeKind
 from repro.core.inference import FloorPrediction, OnlineInferenceEngine
+from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, three_story_campus_building
 
@@ -135,45 +136,46 @@ def probes(campus_split):
 
 
 @pytest.fixture()
-def trainers(monkeypatch):
-    """Every online-embedding trainer (restricted to new nodes) built while
-    the fixture is active; full fits are not recorded."""
+def updates(monkeypatch):
+    """The sampler inputs of every frozen online update run while the
+    fixture is active, with whether it ran on an overlay; full fits run no
+    frozen update and are not recorded."""
     built = []
+    original = eline_module._frozen_inputs
 
-    class RecordingTrainer(EdgeSamplingTrainer):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if kwargs.get("restrict_to_nodes") is not None:
-                built.append((getattr(self.graph, "is_overlay", False),
-                              sampler_inputs(self)))
+    def recording(graph, embedding, new_record_ids):
+        inputs = original(graph, embedding, new_record_ids)
+        built.append((isinstance(graph, GraphOverlay),
+                      sampler_inputs(graph, inputs)))
+        return inputs
 
-    monkeypatch.setattr(eline_module, "EdgeSamplingTrainer", RecordingTrainer)
+    monkeypatch.setattr(eline_module, "_frozen_inputs", recording)
     return built
 
 
-def sampler_inputs(trainer) -> tuple[bytes, ...]:
-    """The exact inputs of a trainer's draws, as bytes (read at build time:
-    the legacy route's graph grows retired indices afterwards).
+def sampler_inputs(graph, inputs) -> tuple[bytes, ...]:
+    """The exact inputs of a frozen update's draws, as bytes (read at build
+    time: the legacy route's graph grows retired indices afterwards).
 
-    The positive edge arrays with their sampling probabilities, and the
-    negative-sampling probabilities expanded to the graph's index space
-    (a legacy ``NegativeSampler`` stores them compacted to live indices).
+    The positive edge arrays with their normalised weights (the sampling
+    probabilities), and the negative-sampling probabilities expanded to the
+    graph's index space (a legacy ``NegativeSampler`` stores them compacted
+    to live indices).
     """
-    edges = trainer._edge_sampler
-    negatives = trainer._negative_sampler
+    _, (sources, targets, weights), negatives = inputs
     if hasattr(negatives, "_live"):
-        probabilities = np.zeros(trainer.graph.index_capacity)
+        probabilities = np.zeros(graph.index_capacity)
         probabilities[negatives._live] = negatives._table.probabilities
     else:
         probabilities = negatives.probabilities
-    return (edges._sources.tobytes(), edges._targets.tobytes(),
-            edges._table.probabilities.tobytes(), probabilities.tobytes())
+    return (sources.tobytes(), targets.tobytes(),
+            (weights / weights.sum()).tobytes(), probabilities.tobytes())
 
 
-def assert_same_sampler_inputs(overlay_trainers, legacy_trainers):
-    assert len(overlay_trainers) == len(legacy_trainers)
+def assert_same_sampler_inputs(overlay_updates, legacy_updates):
+    assert len(overlay_updates) == len(legacy_updates)
     for (on_overlay, overlay_inputs), (on_legacy_overlay, legacy_inputs) in zip(
-            overlay_trainers, legacy_trainers):
+            overlay_updates, legacy_updates):
         assert on_overlay and not on_legacy_overlay
         assert overlay_inputs == legacy_inputs
 
@@ -182,19 +184,19 @@ class TestByteIdentityToLegacyPath:
     """Acceptance: the overlay path trains on the legacy path's exact
     sampler inputs, and its own predict modes agree byte for byte."""
 
-    def test_single_predicts(self, campus_split, probes, trainers):
+    def test_single_predicts(self, campus_split, probes, updates):
         model = fit_campus(campus_split)
         pristine = pickle.dumps(model)
         for probe in probes:
             model.predict(probe)
-        overlay_trainers = trainers[:]
+        overlay_updates = updates[:]
         # Each legacy predict runs on a fresh twin: the mutate-and-restore
         # route retires the probe's node index, so a second probe on the
         # same graph would land on a different index than the overlay's.
         for probe in probes:
             legacy_predict_group(pickle.loads(pristine), [probe])
-        assert_same_sampler_inputs(overlay_trainers,
-                                   trainers[len(overlay_trainers):])
+        assert_same_sampler_inputs(overlay_updates,
+                                   updates[len(overlay_updates):])
 
     def test_independent_batch(self, campus_split, probes):
         model_batch, model_single = (fit_campus(campus_split),
@@ -202,15 +204,15 @@ class TestByteIdentityToLegacyPath:
         assert_identical(model_batch.predict_batch(probes, independent=True),
                          [model_single.predict(p) for p in probes])
 
-    def test_joint_batch(self, campus_split, probes, trainers):
+    def test_joint_batch(self, campus_split, probes, updates):
         model_new, model_old = fit_campus(campus_split), fit_campus(campus_split)
         model_new.predict_batch(probes)
         legacy_predict_batch(model_old, probes)
-        assert len(trainers) == 2
-        assert_same_sampler_inputs(trainers[:1], trainers[1:])
+        assert len(updates) == 2
+        assert_same_sampler_inputs(updates[:1], updates[1:])
 
     def test_persist_single_then_follow_ups(self, campus_split, probes,
-                                            trainers):
+                                            updates):
         # Both twins grow by the same legacy persisting singles, so their
         # graphs are equal; follow-ups then train on the same sampler
         # inputs on the overlay and on the mutated twin.
@@ -218,23 +220,23 @@ class TestByteIdentityToLegacyPath:
         for model in (model_new, model_old):
             legacy_predict_batch(model, probes[:3], persist=True,
                                  independent=True)
-        del trainers[:]
+        del updates[:]
         model_new.predict_batch(probes[3:], independent=True)
-        overlay_trainers = trainers[:]
+        overlay_updates = updates[:]
         grown_old = pickle.dumps(model_old)
         for probe in probes[3:]:
             legacy_predict_group(pickle.loads(grown_old), [probe])
-        assert_same_sampler_inputs(overlay_trainers,
-                                   trainers[len(overlay_trainers):])
+        assert_same_sampler_inputs(overlay_updates,
+                                   updates[len(overlay_updates):])
 
-    def test_persist_joint_batch(self, campus_split, probes, trainers):
+    def test_persist_joint_batch(self, campus_split, probes, updates):
         model_new, model_old = fit_campus(campus_split), fit_campus(campus_split)
         for model in (model_new, model_old):
             legacy_predict_batch(model, probes[:4], persist=True)
-        del trainers[:]
+        del updates[:]
         model_new.predict(probes[5])
         legacy_predict_group(model_old, [probes[5]])
-        assert_same_sampler_inputs(trainers[:1], trainers[1:])
+        assert_same_sampler_inputs(updates[:1], updates[1:])
 
     def test_repeated_predicts_stay_identical(self, campus_split, probes):
         """Repeat predictions of one record never drift (no hidden state)."""
@@ -335,15 +337,14 @@ class TestServedModelImmutable:
 
     def test_predicts_leave_the_pickle_unchanged(self, campus_split, probes):
         model = fit_campus(campus_split)
-        # The first cold predict fills two derived, version-keyed read
-        # caches that travel in the pickle (the graph's MAC vocabulary and
-        # the embedding's MAC key set); nothing else may change, then or
-        # after.
+        # Taken before the first predict: the read caches a cold predict
+        # fills (the graph's index maps and MAC vocabulary, the embedding's
+        # MAC key set) are derived and stay out of the pickle.
+        before = pickle.dumps(model)
         arrays_before = (model.graph.degree_array().tobytes(),
                          model.embedding.ego.tobytes(),
                          model.embedding.context.tobytes())
         model.predict(probes[0])
-        before = pickle.dumps(model)
         self.predict_every_mode(model, probes)
         assert pickle.dumps(model) == before
         assert (model.graph.degree_array().tobytes(),
@@ -391,10 +392,12 @@ def _loaded(split, tmp_path):
                                      "warm-started", "line"])
 def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
                                              monkeypatch, tmp_path):
-    """Guard for the overlay's delta-only ``incident_edge_arrays``.
+    """Guard for the frozen update training only staged overlay rows.
 
     A served model's embedding covers every MAC of its graph, however the
-    model was made, so a cold predict trains only staged overlay nodes.
+    model was made, so a cold predict trains exactly the staged overlay
+    nodes (every index past the base capacity), and the overlay's
+    delta-only ``incident_edge_arrays`` never reads a base adjacency.
     """
     if flavour == "fitted":
         model = fit_campus(campus_split)
@@ -411,19 +414,47 @@ def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
                 list(campus_split.train_records), campus_split.labels)
     assert model.graph.unknown_mac_indices(model.embedding.mac_key_set()) == []
 
-    restrictions = []
+    trained = []
+    original = eline_module._frozen_inputs
 
-    class RecordingTrainer(EdgeSamplingTrainer):
-        def __init__(self, graph, *args, **kwargs):
-            super().__init__(graph, *args, **kwargs)
-            restrictions.append((graph.base_capacity,
-                                 kwargs["restrict_to_nodes"].copy()))
+    def recording(graph, embedding, new_record_ids):
+        inputs = original(graph, embedding, new_record_ids)
+        trained.append((graph.base_capacity, graph.index_capacity,
+                        inputs[0].copy()))
+        return inputs
 
-    monkeypatch.setattr(eline_module, "EdgeSamplingTrainer", RecordingTrainer)
+    monkeypatch.setattr(eline_module, "_frozen_inputs", recording)
     model.predict(SignalRecord(record_id="with-fresh-mac",
                                rss={**probes[0].rss, "never-seen-mac": -70.0}))
     model.predict_batch(probes[1:4])
     model.predict_batch(probes[1:4], independent=True)
-    assert len(restrictions) == 5
-    for base_capacity, indices in restrictions:
+    assert len(trained) == 5
+    for base_capacity, capacity, indices in trained:
         assert indices.size and indices.min() >= base_capacity
+        np.testing.assert_array_equal(indices,
+                                      np.arange(base_capacity, capacity))
+
+
+def test_uncovered_base_mac_rejected_once_per_engine(campus_split, probes,
+                                                    monkeypatch):
+    """The premise above is checked when an engine first predicts: a model
+    whose embedding lacks a base MAC raises instead of training only the
+    staged rows, and a covered engine does not check again."""
+    model = fit_campus(campus_split)
+    model.graph.add_mac("grown-after-fit")
+    with pytest.raises(ValueError, match="base index"):
+        model.predict(probes[0])
+
+    checks = []
+    original = BipartiteGraph.unknown_mac_indices
+
+    def counted(self, known):
+        checks.append(self)
+        return original(self, known)
+
+    monkeypatch.setattr(BipartiteGraph, "unknown_mac_indices", counted)
+    covered = fit_campus(campus_split)
+    covered.predict(probes[0])
+    covered.predict_batch(probes[1:4])
+    covered.predict_batch(probes[1:4], independent=True)
+    assert checks == [covered.graph]

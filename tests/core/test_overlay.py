@@ -148,18 +148,6 @@ class TestComposedViews:
             with pytest.raises(ValueError, match="base index"):
                 overlay.incident_edge_arrays(mixed)
 
-    def test_unknown_mac_indices_compose(self, graph):
-        overlay = GraphOverlay(graph)
-        for probe in probe_records():
-            overlay.add_record(probe)
-        known = graph.mac_vocabulary() - {"m0"}
-        expected = sorted([graph.get_node(NodeKind.MAC, "m0").index,
-                           overlay.get_node(NodeKind.MAC, "fresh-a").index,
-                           overlay.get_node(NodeKind.MAC, "fresh-b").index])
-        assert sorted(overlay.unknown_mac_indices(known)) == expected
-        full = known | {"m0", "fresh-a", "fresh-b"}
-        assert overlay.unknown_mac_indices(full) == []
-
 
 class TestGuardRails:
     def test_stale_after_base_mutation(self, graph):

@@ -13,6 +13,7 @@ import pytest
 
 from repro import GRAFICS, GraficsConfig
 from repro.core.embedding import ELINEEmbedder
+from repro.core.embedding.sampler import EdgeSampler, NegativeSampler
 from repro.core.embedding.trainer import (
     _SAMPLER_CACHE,
     EdgeSamplingTrainer,
@@ -66,9 +67,10 @@ class TestSamplerCache:
     def test_bypass_builds_fresh(self, graph):
         config = GraficsConfig().resolved_embedding_config()
         cached = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
-        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS,
-                                   use_sampler_cache=False)
+        clear_sampler_cache()
+        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
         assert cold._edge_sampler is not cached._edge_sampler
+        assert cold._negative_sampler is not cached._negative_sampler
         # Identical construction either way: same training trajectory.
         ego_a, context_a = cached.initial_embeddings()
         cached.train(ego_a, context_a)
@@ -83,8 +85,12 @@ class TestSamplerCache:
         EdgeSamplingTrainer(graph, config, ELINE_TERMS)   # warm the cache
         warm = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
         assert _SAMPLER_CACHE.hits >= 2
-        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS,
-                                   use_sampler_cache=False)
+        # The cold reference trains on samplers built directly, bypassing
+        # the cache.
+        cold = EdgeSamplingTrainer(graph, config, ELINE_TERMS)
+        cold._edge_sampler = EdgeSampler(*graph.edge_arrays())
+        cold._negative_sampler = NegativeSampler(graph.degree_array())
+        assert cold._edge_sampler is not warm._edge_sampler
         ego_w, context_w = warm.initial_embeddings()
         warm.train(ego_w, context_w)
         ego_c, context_c = cold.initial_embeddings()

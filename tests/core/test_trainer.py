@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.embedding import eline as eline_module
 from repro.core.embedding.base import EmbeddingConfig
+from repro.core.embedding.eline import ELINEEmbedder
+from repro.core.embedding.kernels import ReferenceKernel
 from repro.core.embedding.trainer import EdgeSamplingTrainer, ObjectiveTerms, sigmoid
-from repro.core.graph import build_graph
+from repro.core.graph import NodeKind, build_graph
+from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 
 
@@ -94,37 +98,6 @@ class TestEdgeSamplingTrainer:
             trainer.train(ego, context[:, :4])
         with pytest.raises(ValueError):
             trainer.train(ego[:2], context[:2])
-        with pytest.raises(ValueError):
-            trainer.train(ego, context, trainable=np.ones(3, dtype=bool))
-
-    def test_frozen_rows_never_change(self, small_graph):
-        config = EmbeddingConfig(samples_per_edge=50.0, seed=0)
-        trainer = EdgeSamplingTrainer(small_graph, config, ObjectiveTerms())
-        ego, context = trainer.initial_embeddings()
-        trainable = np.zeros(small_graph.index_capacity, dtype=bool)
-        trainable[:2] = True
-        ego_before, context_before = ego.copy(), context.copy()
-        trainer.train(ego, context, trainable=trainable)
-        np.testing.assert_array_equal(ego[~trainable], ego_before[~trainable])
-        np.testing.assert_array_equal(context[~trainable],
-                                      context_before[~trainable])
-        assert not np.array_equal(ego[trainable], ego_before[trainable])
-
-    def test_restrict_to_nodes_limits_positive_edges(self, small_graph):
-        config = EmbeddingConfig(seed=0)
-        from repro.core.graph import NodeKind
-
-        node = small_graph.get_node(NodeKind.RECORD, "a0")
-        trainer = EdgeSamplingTrainer(small_graph, config, ObjectiveTerms(),
-                                      restrict_to_nodes=np.array([node.index]))
-        assert trainer.num_sampled_edges == small_graph.degree(node.index)
-
-    def test_restrict_to_isolated_nodes_rejected(self, small_graph):
-        config = EmbeddingConfig(seed=0)
-        unused_index = small_graph.index_capacity  # beyond live nodes
-        with pytest.raises((ValueError, IndexError)):
-            EdgeSamplingTrainer(small_graph, config, ObjectiveTerms(),
-                                restrict_to_nodes=np.array([unused_index + 5]))
 
     def test_second_order_pulls_neighbors_together(self):
         """Two records sharing all MACs should end closer than unrelated ones."""
@@ -145,3 +118,74 @@ class TestEdgeSamplingTrainer:
         same = np.linalg.norm(ego[index["x1"]] - ego[index["x2"]])
         cross = np.linalg.norm(ego[index["x1"]] - ego[index["y1"]])
         assert same < cross
+
+
+def probe():
+    return record("p0", {"m1": -55.0, "m4": -60.0, "fresh": -70.0})
+
+
+class TestFrozenUpdate:
+    """The online update trains only the new nodes' rows (Section V-A)."""
+
+    @pytest.fixture()
+    def fitted(self, small_graph):
+        embedder = ELINEEmbedder(EmbeddingConfig(samples_per_edge=50.0,
+                                                 seed=0))
+        return embedder, embedder.fit(small_graph)
+
+    @staticmethod
+    def staged(graph):
+        overlay = GraphOverlay(graph)
+        overlay.add_record(probe())
+        return overlay
+
+    def test_frozen_rows_never_change(self, small_graph, fitted,
+                                      monkeypatch):
+        embedder, embedding = fitted
+        snapshot = (embedding.ego.tobytes(), embedding.context.tobytes())
+        base = small_graph.index_capacity
+        ego, context, _ = embedder.embed_new_nodes_arrays(
+            self.staged(small_graph), embedding, ["p0"])
+        np.testing.assert_array_equal(ego[:base], embedding.ego)
+        np.testing.assert_array_equal(context[:base], embedding.context)
+        assert (embedding.ego.tobytes(),
+                embedding.context.tobytes()) == snapshot
+
+        # Every staged row moves away from its initial draw: compare with
+        # an update whose kernel steps change nothing.
+        monkeypatch.setattr(ReferenceKernel, "train_batch",
+                            lambda self, *args, **kwargs: 0.0)
+        ego_init, context_init, _ = embedder.embed_new_nodes_arrays(
+            self.staged(small_graph), embedding, ["p0"])
+        np.testing.assert_array_equal(ego_init[:base], ego[:base])
+        for row in range(base, ego.shape[0]):
+            assert not np.array_equal(ego[row], ego_init[row])
+            assert not np.array_equal(context[row], context_init[row])
+
+    def test_positive_edges_are_the_new_nodes_incident_edges(
+            self, small_graph, fitted):
+        _, embedding = fitted
+        base = small_graph.index_capacity
+        overlay = self.staged(small_graph)
+        trainable, (sources, targets, _), _ = eline_module._frozen_inputs(
+            overlay, embedding, ["p0"])
+        record_index = overlay.get_node(NodeKind.RECORD, "p0").index
+        np.testing.assert_array_equal(trainable,
+                                      np.arange(base, overlay.index_capacity))
+        assert sources.size == len(probe().rss)
+        assert set(targets.tolist()) == {record_index}
+
+        # The mutated-graph route trains the named record plus the MACs
+        # the embedding lacks, on the same edges.
+        small_graph.add_record(probe())
+        mutated_trainable, mutated_edges, _ = eline_module._frozen_inputs(
+            small_graph, embedding, ["p0"])
+        np.testing.assert_array_equal(mutated_trainable, trainable)
+        np.testing.assert_array_equal(mutated_edges[0], sources)
+
+    def test_isolated_staged_node_rejected(self, small_graph, fitted):
+        embedder, embedding = fitted
+        small_graph.add_record(record("isolated", {"gone": -50.0}))
+        small_graph.remove_mac("gone")
+        with pytest.raises(ValueError, match="selects no edges"):
+            embedder.embed_new_nodes(small_graph, embedding, ["isolated"])
