@@ -1,22 +1,19 @@
-"""Disabled-failpoint overhead smoke: fault injection off must cost ~nothing.
+"""Disabled-failpoint smoke: fault injection off must cost ~nothing.
 
 The failpoint sites compiled into the serving and persistence hot paths
 (``serve.compute``, ``checkpoint.write``, ...) follow the observability
 layer's null-path discipline: with no plan installed, ``failpoints.fire``
 is one module-global read and an ``is None`` check — no allocation, no
-lock, no dict lookup.  Two checks enforce that, both machine-independent
-(same-process A/B comparisons, never an absolute number against a stored
-baseline):
+lock, no dict lookup.  Two checks enforce that, both independent of how
+fast or busy the host is:
 
 1. **Micro**: a disabled ``failpoints.fire`` call must cost well under a
    microsecond-scale budget.
-2. **Macro**: the smoke-sized cold serving path with failpoints disabled
-   must not be slower than the same path with a plan *armed* on an
-   unrelated site beyond a generous noise margin.  The armed run does
-   strictly more work per fire (plan lookup, hit counting under a lock),
-   so a disabled run losing by more than the margin means the disabled
-   path regressed.  Median over interleaved rounds, like
-   ``check_obs_overhead.py``.
+2. **Structural**: with no plan installed, cold serving predicts and two
+   checkpoint writes (a model registry and a stream state) make no call
+   into ``repro/faults/plan.py``, and ``failpoints.py`` calls no C function
+   (a lock's ``__exit__``, a ``dict.get``, a clock) on their behalf,
+   counted with ``sys.setprofile``.
 
 Run from CI after the chaos-drill smoke; exits non-zero on violation.
 """
@@ -24,26 +21,22 @@ Run from CI after the chaos-drill smoke; exits non-zero on violation.
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 import timeit
+from pathlib import Path
 
 from repro import faults
-from repro.faults import FaultPlan
+from repro.core.persistence import save_registry, save_stream_state
+from repro.faults import failpoints
 
-from bench_online_inference import SMOKE, measure_cold_serving
-from overhead_ab import interleaved_ratio, smoke_cold_path
+from bench_online_inference import SMOKE, cold_service, fitted
+from check_obs_overhead import profile_calls
 
 #: Per-call budget for a disabled ``failpoints.fire``.  Two orders of
 #: magnitude above the measured cost (~60ns) so runner noise cannot trip
 #: it, but far below an accidental allocation or lock acquisition.
 MAX_DISABLED_FIRE_SECONDS = 5e-6
-
-#: The disabled run must reach at least this fraction of the armed run's
-#: throughput (disabled does strictly less work; margin absorbs noise).
-MIN_DISABLED_OVER_ARMED = 0.7
-
-#: Interleaved disabled/armed rounds the macro check medians over.
-AB_ROUNDS = 5
 
 
 def check_disabled_fire_cost() -> float:
@@ -61,38 +54,44 @@ def check_disabled_fire_cost() -> float:
     return per_call
 
 
-def check_cold_path_ratio() -> float:
-    dataset, model, probes = smoke_cold_path()
+def check_uninstalled_failpoints(dataset, model, probes) -> None:
+    package = Path(failpoints.__file__).parent
+    service = cold_service(model, dataset.building_id)
+    service.predict(probes[0])                    # warm-up (engine, router)
 
-    def measure(armed: bool) -> float:
-        if armed:
-            # Armed on a site the cold serving path never reaches, and a
-            # hit number it will never count to on the sites it does: the
-            # plan machinery runs on every serve.compute fire but injects
-            # nothing, isolating the bookkeeping cost.
-            faults.install(FaultPlan().fail("retrain.fit",
-                                            hits=[10 ** 9]))
-        else:
-            faults.uninstall()
-        try:
-            result = measure_cold_serving({"model": model}, dataset, probes,
-                                          SMOKE["cold_predicts"])
-        finally:
-            faults.uninstall()
-        return result["model"]["records_per_s"]
+    def serve_and_checkpoint():
+        for probe in probes:
+            service.predict(probe)
+        with tempfile.TemporaryDirectory() as directory:
+            save_registry(service.export_registry(), directory)
+            save_stream_state({"probes": len(probes)},
+                              Path(directory) / "stream.json")
 
-    return interleaved_ratio(
-        lambda: measure(armed=False), lambda: measure(armed=True),
-        rounds=AB_ROUNDS, floor=MIN_DISABLED_OVER_ARMED,
-        label="cold path disabled/armed",
-        failure="cold path with failpoints disabled lost to the armed run; "
-                "the disabled failpoint path is doing real work")
+    faults.uninstall()
+    calls, c_calls = profile_calls(serve_and_checkpoint, package)
+    fires = calls["failpoints.py:fire"]
+    plan_calls = {name: count for name, count in calls.items()
+                  if name.startswith("plan.py:")}
+    null_path_work = {name: count for name, count in c_calls.items()
+                      if name.startswith("failpoints.py:")}
+    print(f"{len(probes)} cold predicts + 2 checkpoint writes, no plan: "
+          f"{fires} fires, plan calls {plan_calls or 'none'}, C calls in "
+          f"failpoints.py {null_path_work or 'none'}")
+    # One serve.compute per predict, one checkpoint.write per write.
+    assert fires >= len(probes) + 2, (
+        f"only {fires} failpoint fires; the work no longer reaches its "
+        "sites and this check would guard nothing")
+    assert not plan_calls, (
+        f"uninstalled failpoints called into the fault plan: {plan_calls}")
+    assert not null_path_work, (
+        f"uninstalled failpoints.fire did real work: {null_path_work}")
 
 
 def main() -> int:
     started = time.perf_counter()
     check_disabled_fire_cost()
-    check_cold_path_ratio()
+    dataset, _, model, probes = fitted(SMOKE)
+    check_uninstalled_failpoints(dataset, model, probes)
     print(f"fault-injection overhead smoke passed in "
           f"{time.perf_counter() - started:.1f}s")
     return 0

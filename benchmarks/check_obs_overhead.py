@@ -1,48 +1,72 @@
-"""Disabled-path overhead smoke: observability off must cost ~nothing.
+"""Disabled-path smoke: observability off must cost ~nothing.
 
-Two checks, both machine-independent (they compare two measurements taken
-in the same process moments apart, never an absolute number against a
-recorded baseline — CI runners and the reference container differ too much
-for that):
+Two checks, both independent of how fast or busy the host is:
 
 1. **Micro**: a ``with obs.span(...)`` block while disabled must cost well
    under a microsecond-scale budget per call — it is two attribute calls on
    a shared singleton, no allocation, no clock read.
-2. **Macro**: the smoke-sized cold serving path with observability disabled
-   must not be slower than the same path with full tracing enabled beyond a
-   generous noise margin.  Tracing does strictly more work, so a disabled
-   run that loses to a traced run by more than the margin means the
-   disabled path regressed (e.g. an instrumentation point started
-   allocating or reading a clock unconditionally).  The ratio is the
-   *median over several interleaved disabled/traced rounds* (see
-   ``overhead_ab.py``).
+2. **Structural**: under ``obs.disable()``, cold predicts make no call into
+   ``repro/obs/tracer.py`` or ``repro/obs/metrics.py`` and read no clock
+   from any ``repro/obs`` module, counted with ``sys.setprofile``.  A
+   disabled instrumentation point that starts allocating a tracer object or
+   timing itself shows up here as a count, on any host.
 
-Run from CI after the benchmark smokes; exits non-zero on violation.
+``profile_calls`` is shared with ``check_fault_overhead.py``.  Run from CI
+after the benchmark smokes; exits non-zero on violation.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 import timeit
+from collections import Counter
+from pathlib import Path
 
 from repro.obs import runtime as obs
 
-from bench_online_inference import SMOKE, measure_cold_serving
-from overhead_ab import interleaved_ratio, smoke_cold_path
+from bench_online_inference import SMOKE, fitted
 
 #: Per-call budget for a disabled span block.  Two orders of magnitude
 #: above the measured cost (~0.3µs) so CI-runner noise cannot trip it,
 #: but far below the cost of an accidental allocation + clock read path.
 MAX_DISABLED_SPAN_SECONDS = 20e-6
 
-#: The disabled run must reach at least this fraction of the traced run's
-#: throughput.  Disabled does strictly less work, so the true ratio is
-#: >= 1.0; the margin absorbs shared-runner noise.
-MIN_DISABLED_OVER_TRACED = 0.7
+#: The clock functions of the ``time`` module.
+CLOCKS = frozenset(name + suffix for name in
+                   ("time", "monotonic", "perf_counter", "process_time",
+                    "thread_time") for suffix in ("", "_ns"))
 
-#: Interleaved disabled/traced rounds the macro check medians over.
-AB_ROUNDS = 5
+
+def profile_calls(run, package: Path) -> tuple[Counter, Counter]:
+    """Run ``run()`` under ``sys.setprofile``; count what touches ``package``.
+
+    Returns ``(calls, c_calls)``: the Python functions defined under
+    ``package`` that were called, and the C functions (clock reads, lock
+    exits, dict lookups, ...) called from code under ``package``, both
+    keyed ``"<file>:<function>"`` with the file relative to ``package``.
+    """
+    prefix = str(package) + os.sep
+    calls: Counter = Counter()
+    c_calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return
+        where = filename[len(prefix):]
+        if event == "call":
+            calls[f"{where}:{frame.f_code.co_name}"] += 1
+        elif event == "c_call":
+            c_calls[f"{where}:{getattr(arg, '__name__', arg)}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls, c_calls
 
 
 def check_null_span_cost() -> float:
@@ -61,33 +85,36 @@ def check_null_span_cost() -> float:
     return per_call
 
 
-def check_cold_path_ratio() -> float:
-    dataset, model, probes = smoke_cold_path()
+def check_disabled_cold_predicts(model, probes) -> None:
+    package = Path(obs.__file__).parent
 
-    def measure(traced: bool) -> float:
-        if traced:
-            obs.enable()
-        else:
-            obs.disable()
-        try:
-            result = measure_cold_serving({"model": model}, dataset, probes,
-                                          SMOKE["cold_predicts"])
-        finally:
-            obs.disable()
-        return result["model"]["records_per_s"]
+    def predict_all():
+        for probe in probes:
+            model.predict(probe)
 
-    return interleaved_ratio(
-        lambda: measure(traced=False), lambda: measure(traced=True),
-        rounds=AB_ROUNDS, floor=MIN_DISABLED_OVER_TRACED,
-        label="cold path disabled/traced",
-        failure="cold path with observability disabled lost to the fully "
-                "traced run; the disabled path is doing real work")
+    obs.disable()
+    calls, c_calls = profile_calls(predict_all, package)
+    touched = {name: count for name, count in calls.items()
+               if name.split(":")[0] in ("tracer.py", "metrics.py")}
+    clocks = {name: count for name, count in c_calls.items()
+              if name.split(":")[1] in CLOCKS}
+    print(f"{len(probes)} disabled cold predicts: "
+          f"{calls['runtime.py:span']} null spans, tracer/metrics calls "
+          f"{touched or 'none'}, obs clock reads {clocks or 'none'}")
+    assert calls["runtime.py:span"] > 0, (
+        "the cold predict no longer reaches an obs.span site; this check "
+        "would guard nothing")
+    assert not touched, (
+        f"disabled cold predicts called into the tracer/metrics: {touched}")
+    assert not clocks, (
+        f"disabled cold predicts read the clock inside repro.obs: {clocks}")
 
 
 def main() -> int:
     started = time.perf_counter()
     check_null_span_cost()
-    check_cold_path_ratio()
+    _, _, model, probes = fitted(SMOKE)
+    check_disabled_cold_predicts(model, probes)
     print(f"obs overhead smoke passed in "
           f"{time.perf_counter() - started:.1f}s")
     return 0

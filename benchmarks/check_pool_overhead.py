@@ -1,61 +1,31 @@
-"""Pool guardrail smoke: workers=0 untouched, workers=1 overhead bounded.
+"""Pool guardrail smoke: workers=0 untouched, workers=1 ships once.
 
-Two checks, both machine-independent (they compare measurements taken in
-the same process moments apart, never an absolute number against a
-recorded baseline — CI runners and the reference container differ too
-much for that):
+Two checks, both independent of how fast or busy the host is:
 
 1. **Disabled path**: ``compute_workers=0`` (the default) must build no
    pool at all — ``service.compute_pool is None``, no pool key in the
    telemetry snapshot, and no ``compute_pool_*`` counters minted.  The
    opt-out is structural, not a runtime branch that could still pay.
-2. **Dispatch overhead**: the *sequential single-record* cold path with
-   ``compute_workers=1`` must reach at least ``MIN_POOLED_OVER_INPROCESS``
-   of the in-process throughput.  One record per request is the pool's
-   worst case — every predict pays a full dispatch round trip (pickle the
-   record over the pipe, compute, pickle the prediction back) with zero
-   batching to amortise it — so this is the honest upper bound on the
-   per-request tax.  The ratio is the *median over several interleaved
-   in-process/pooled rounds* (see ``overhead_ab.py``).
+2. **Dispatch**: N sequential single-record cold predicts through
+   ``compute_workers=1`` ship the model snapshot once
+   (``compute_pool_snapshot_ships_total``) and dispatch once per predict
+   (``compute_pool_dispatch_total``).  One record per request is the
+   pool's worst case; a pool that re-ships its snapshot, or splits a
+   record into several round trips, pays that on every request.
 
 Run from CI after the benchmark smokes; exits non-zero on violation.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 
-from repro.core.registry import MultiBuildingFloorService
-from repro.serving import FloorServingService, ServingConfig
-
-from bench_online_inference import CONFIG, SMOKE
-from overhead_ab import interleaved_ratio, smoke_cold_path
-
-#: The pooled sequential cold path must reach this fraction of in-process
-#: throughput (acceptance line: workers=1 dispatch overhead <= 25% on the
-#: single-CPU reference container).
-MIN_POOLED_OVER_INPROCESS = 0.75
-
-#: Interleaved in-process/pooled rounds the ratio check medians over.
-AB_ROUNDS = 5
-
-
-def _service(model, building_id: str, workers: int) -> FloorServingService:
-    registry = MultiBuildingFloorService(CONFIG)
-    registry.install_model(building_id, model)
-    kwargs: dict = {"enable_cache": False, "compute_workers": workers}
-    if workers:
-        kwargs["compute_start_method"] = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-    return FloorServingService(registry=registry,
-                               config=ServingConfig(**kwargs))
+from bench_online_inference import SMOKE, cold_service, fitted
 
 
 def check_disabled_path(model, dataset, probes) -> None:
-    service = _service(model, dataset.building_id, workers=0)
+    service = cold_service(model, dataset.building_id)
     assert service.compute_pool is None, (
         "compute_workers=0 must not construct a ComputePool")
     service.predict(probes[0])
@@ -69,37 +39,31 @@ def check_disabled_path(model, dataset, probes) -> None:
           "telemetry")
 
 
-def check_dispatch_overhead(model, dataset, probes) -> float:
-    cold_predicts = SMOKE["cold_predicts"]
-    inproc = _service(model, dataset.building_id, workers=0)
-    pooled = _service(model, dataset.building_id, workers=1)
+def check_sequential_dispatch(model, dataset, probes) -> None:
+    predicts = SMOKE["cold_predicts"]
+    pooled = cold_service(model, dataset.building_id, workers=1)
     try:
-        # Warm-up: engine build in-process, snapshot ship + engine rebuild
-        # in the worker.  Steady state is what the ratio is about.
-        inproc.predict(probes[0])
-        pooled.predict(probes[0])
-
-        def measure(service: FloorServingService) -> float:
-            start = time.perf_counter()
-            for i in range(cold_predicts):
-                service.predict(probes[i % len(probes)])
-            return cold_predicts / (time.perf_counter() - start)
-
-        return interleaved_ratio(
-            lambda: measure(pooled), lambda: measure(inproc),
-            rounds=AB_ROUNDS, floor=MIN_POOLED_OVER_INPROCESS,
-            label="sequential cold path pooled/in-process",
-            failure="workers=1 sequential dispatch overhead exceeded "
-                    "budget; per-request dispatch got expensive")
+        for i in range(predicts):
+            pooled.predict(probes[i % len(probes)])
+        counters = pooled.telemetry_snapshot()["counters"]
     finally:
         pooled.close()
+    ships = counters.get("compute_pool_snapshot_ships_total", 0)
+    dispatches = counters.get("compute_pool_dispatch_total", 0)
+    print(f"{predicts} sequential cold predicts, compute_workers=1: "
+          f"{ships} snapshot ship(s), {dispatches} dispatches")
+    assert ships == 1, (
+        f"the unchanged model shipped {ships} times over {predicts} "
+        "predicts; a worker must keep its snapshot")
+    assert dispatches == predicts, (
+        f"{dispatches} dispatches for {predicts} single-record predicts")
 
 
 def main() -> int:
     started = time.perf_counter()
-    dataset, model, probes = smoke_cold_path()
+    dataset, _, model, probes = fitted(SMOKE)
     check_disabled_path(model, dataset, probes)
-    check_dispatch_overhead(model, dataset, probes)
+    check_sequential_dispatch(model, dataset, probes)
     print(f"pool overhead smoke passed in "
           f"{time.perf_counter() - started:.1f}s")
     return 0

@@ -7,8 +7,8 @@ write's tmp file and its rename, and so on.  With no plan installed (the
 normal case, including all of production) a fire is a single module-global
 ``None`` check and an immediate return: no allocation, no dict lookup, no
 lock — the same null-path discipline as :mod:`repro.obs.runtime`, and
-guarded by the same kind of overhead check
-(``benchmarks/check_fault_overhead.py``).
+checked the same way: ``benchmarks/check_fault_overhead.py`` counts that
+uninstalled fires never reach the plan and do no work of their own.
 
 Install a :class:`~repro.faults.plan.FaultPlan` to arm the sites it has
 specs for; ``uninstall()`` (or the :func:`active` context manager) disarms

@@ -28,8 +28,9 @@ from contextlib import contextmanager
 
 __all__ = ["LatencyHistogram", "MetricsRegistry"]
 
-#: Exponential bucket upper bounds in seconds (250µs … ~8s), tuned for the
-#: online-inference latencies measured by ``bench_online_inference``.
+#: Exponential bucket upper bounds in seconds (250µs … ~8s), tuned for
+#: cold-predict latencies of a few milliseconds (the benchmark's cold-scan
+#: ``p50_ms``/``p99_ms``) up to retrain-scale seconds.
 _DEFAULT_BOUNDS = (0.00025, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.016,
                    0.032, 0.064, 0.128, 0.256, 0.512, 1.024, 2.048, 4.096,
                    8.192)

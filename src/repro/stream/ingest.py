@@ -13,7 +13,7 @@ processor must survive arbitrarily malformed crowdsourced input.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ..core.inference import UnknownEnvironmentError
@@ -107,11 +107,6 @@ class StreamIngestor:
         self.accepted_total += 1
         return IngestDecision(record_id=record.record_id, accepted=True,
                               building_id=building_id)
-
-    def submit_many(self, records: Iterable[SignalRecord],
-                    building_id: str | None = None) -> list[IngestDecision]:
-        return [self.submit(record, building_id=building_id)
-                for record in records]
 
     # ------------------------------------------------------------------ drain
     def drain(self, building_id: str) -> list[SignalRecord]:
