@@ -46,8 +46,9 @@ class EmbeddingConfig:
 
     There is no kernel or sampler setting: fits always run the fused
     kernel over alias-sampled edges, and the frozen online update always
-    runs the reference kernel's masked step over inverse-CDF draws of the
-    new nodes' incident edges (see :mod:`repro.core.embedding.kernels` and
+    runs the reference kernel's frozen-row step, which trains only the new
+    rows, over inverse-CDF draws of the new nodes' incident edges (see
+    :mod:`repro.core.embedding.kernels` and
     ``ELINEEmbedder.embed_new_nodes_arrays``).
     """
 

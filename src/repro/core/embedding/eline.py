@@ -14,8 +14,8 @@ The class also implements *incremental embedding* of nodes added after the
 initial fit (Section V-A): the new node's ego and context vectors are trained
 while every other embedding stays frozen, which is cheap enough for real-time
 online inference.  Fits run :class:`EdgeSamplingTrainer` (the fused kernel);
-the frozen update is a function of its own that trains only the new rows
-with the reference kernel's masked step.
+the frozen update is a function of its own that trains only the new rows,
+as small slot tables, with the reference kernel's frozen-row step.
 """
 
 from __future__ import annotations
@@ -122,13 +122,23 @@ class ELINEEmbedder(GraphEmbedder):
         The trainable rows are the overlay's staged nodes (every index past
         the base capacity) or, on a mutated graph, the named records plus
         the MACs ``embedding`` lacks.  Their fresh rows are trained against
-        the frozen rest with the reference kernel's masked step; positive
+        the frozen rest with the reference kernel's frozen-row step; positive
         edges are the trainable nodes' incident edges, drawn by inverse CDF,
         and negatives come from the noise distribution of the whole
         (enlarged) graph.  Both routes train on the same positive edges and
         the same negative-sampling distribution; the overlay composes its
         negative sampler from the base graph's cached parts, so its draw
-        sequence differs from the mutated graph's.
+        sequence differs from the mutated graph's.  Rows of the enlarged
+        space that are neither embedded nor trained (another record added
+        to a mutated graph, a retired index) read as zeros.
+
+        ``losses`` holds one entry per batch: the batch's summed loss over
+        the pairs the step scores, divided by the batch size.  The step
+        scores every target of a sample whose head is trainable, but only
+        the positive and the trainable negatives of a sample whose head is
+        frozen, so this is not the full objective of the batch; it serves
+        as a training trace (``embed_new_nodes`` appends it to
+        ``training_loss``), and nothing in serving reads it.
         """
         with obs.span("online.embed") as embed_span:
             embed_span.set("new_records", len(new_record_ids))
@@ -187,8 +197,9 @@ def _frozen_update(graph: BipartiteGraph | GraphOverlay,
 
     Everything is drawn up front — the fresh rows, then every positive
     edge and its negatives — and the batches run through
-    :meth:`ReferenceKernel.train_batch` under a mask of the trainable rows,
-    on the learning-rate schedule of a fit.
+    :meth:`ReferenceKernel.train_batch` on the trainable rows' slot tables,
+    on the learning-rate schedule of a fit.  The enlarged tables are put
+    together once, after the last batch.
     """
     with obs.span("embed.alias_build") as alias_span:
         trainable, (sources, targets, weights), negative_sampler = \
@@ -201,23 +212,17 @@ def _frozen_update(graph: BipartiteGraph | GraphOverlay,
     dim = config.dimension
     scale = config.init_scale / dim
     rng = np.random.default_rng(config.seed)
-    # Frozen rows are copied; only the trainable rows draw fresh random
-    # vectors.  Drawing a full capacity-sized matrix instead would tie the
-    # initialisation (and hence the prediction) to how many retired indices
-    # the graph has accumulated, making repeated online predictions of the
-    # same record drift apart.  Rows that are neither frozen nor trainable
-    # are retired indices; they are never read.  The block draw consumes
-    # doubles per row in the order ego row, then context row.
-    ego = np.zeros((capacity, dim))
-    context = np.zeros((capacity, dim))
-    old_rows = min(embedding.ego.shape[0], capacity)
-    ego[:old_rows] = embedding.ego[:old_rows]
-    context[:old_rows] = embedding.context[:old_rows]
+    # Only the trainable rows draw fresh random vectors; the kernel reads
+    # every other row in place.  Drawing a full capacity-sized matrix
+    # instead would tie the initialisation (and hence the prediction) to how
+    # many retired indices the graph has accumulated, making repeated
+    # online predictions of the same record drift apart.  The block draw
+    # consumes doubles per row in the order ego row, then context row.
     fresh = rng.uniform(-scale, scale, size=(trainable.size, 2, dim))
-    ego[trainable] = fresh[:, 0, :]
-    context[trainable] = fresh[:, 1, :]
-    mask = np.zeros(capacity, dtype=bool)
-    mask[trainable] = True
+    ego, context = fresh[:, 0], fresh[:, 1]
+    frozen_rows = min(embedding.ego.shape[0], capacity)
+    frozen_ego = embedding.ego[:frozen_rows]
+    frozen_context = embedding.context[:frozen_rows]
 
     total = max(1, int(samples_per_edge * sources.size))
     with obs.span("embed.sampling") as sampling_span:
@@ -235,7 +240,7 @@ def _frozen_update(graph: BipartiteGraph | GraphOverlay,
         negatives = negative_sampler.sample(total, config.negative_samples,
                                             rng)
 
-    kernel = ReferenceKernel()
+    kernel = ReferenceKernel(frozen_ego, frozen_context, trainable, capacity)
     losses: list[float] = []
     with obs.span("embed.kernel") as kernel_span:
         kernel_span.set("samples", total)
@@ -243,6 +248,15 @@ def _frozen_update(graph: BipartiteGraph | GraphOverlay,
             loss = kernel.train_batch(
                 ego, context, heads[start:stop], tails[start:stop],
                 negatives[start:stop], learning_rate=lr, terms=_ELINE_TERMS,
-                config=config, rng=rng, trainable=mask)
+                config=config, rng=rng)
             losses.append(loss / (stop - start))
-    return ego, context, losses
+
+    # The enlarged tables: frozen rows as they were, trained rows in their
+    # slots and void rows (past the frozen ones, not trained) zero.
+    ego_out = np.zeros((capacity, dim))
+    context_out = np.zeros((capacity, dim))
+    ego_out[:frozen_rows] = frozen_ego
+    context_out[:frozen_rows] = frozen_context
+    ego_out[trainable] = ego
+    context_out[trainable] = context
+    return ego_out, context_out, losses

@@ -32,12 +32,21 @@ embedding tables.  Each caller has its own kernel — there is no setting:
   tolerance per batch and at equal floor accuracy over whole test splits.
 
 * :class:`ReferenceKernel` is the step of the frozen online update of new
-  records (Section V-A, ``ELINEEmbedder.embed_new_nodes_arrays``): one
-  skip-gram step per objective term, computing and scattering gradients for
-  the handful of ``trainable`` rows only.  Its updates are the same values
-  in the same accumulation order as a full-batch-then-mask scatter (whose
-  masked-out updates are exact zeros), while the per-batch cost tracks the
-  trainable rows.
+  records (Section V-A, ``ELINEEmbedder.embed_new_nodes_arrays``).  Only the
+  new rows can move, so it trains them as small ``(T, D)`` slot tables and
+  reads every other row of the frozen embedding in place with ``np.take``;
+  no table is copied while it trains.  Per batch it runs one skip-gram step
+  per objective term, in the order second-order, symmetric, first-order,
+  each scoring from the tables as the previous term left them (Gauss-Seidel
+  across terms, which a cold predict's two or three batches need).  A row
+  whose head is trainable scores its positive and its ``K`` negatives; a
+  row whose head is frozen scores its positive and only its trainable
+  negatives, since nothing else it touches can move.  Gradients are summed
+  onto the slot tables (a plain sum for one slot, a bincount over slots
+  otherwise).  It draws one ``(B, D)`` dropout mask per term per batch, the
+  generator stream of a full-table step under a mask of the trainable rows;
+  the test suite keeps that masked step as an oracle and pins this one to
+  it row by row.
 
 A kernel may keep scratch buffers, so one instance serves one training run
 (it is not shared across threads).
@@ -55,6 +64,10 @@ _SIGMOID_CLIP = 30.0
 #: Floor inside the log() of the loss, mirroring the reference step.
 _LOG_FLOOR = 1e-12
 
+#: ``ReferenceKernel`` slot codes of the rows that cannot move.
+_FROZEN = -1
+_VOID = -2
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic function."""
@@ -62,91 +75,177 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class ReferenceKernel:
-    """The frozen online update: per-term skip-gram steps on trainable rows."""
+    """The frozen online update: skip-gram steps on the rows that can move.
+
+    One instance serves one frozen update.  It is built over the frozen
+    ``ego``/``context`` tables, which it only reads, and the indices of the
+    ``trainable`` rows in an index space of ``capacity`` rows.  Every
+    index is one of three kinds: a trainable row, whose current values live
+    in the caller's ``(T, D)`` slot tables; a frozen row (below the frozen
+    tables' length), read in place; or a void row (past them, not
+    trainable: an unembedded node of a mutated graph, a retired index),
+    which reads as zeros and never moves.
+    """
+
+    def __init__(self, frozen_ego: np.ndarray, frozen_context: np.ndarray,
+                 trainable: np.ndarray, capacity: int) -> None:
+        self._frozen_ego = frozen_ego
+        self._frozen_context = frozen_context
+        slot = np.full(capacity, _VOID, dtype=np.int64)
+        slot[:frozen_ego.shape[0]] = _FROZEN
+        slot[trainable] = np.arange(trainable.size)
+        self._slot = slot
+        self._slots = trainable.size
 
     def train_batch(self, ego, context, heads, tails, negatives, *,
-                    learning_rate, terms, config, rng, trainable):
-        """Apply one mini-batch update in place; return the summed loss.
+                    learning_rate, terms, config, rng):
+        """Apply one mini-batch update to the slot tables; return the loss.
 
-        ``heads``/``tails`` are the sampled directed edges (shape ``(B,)``),
-        ``negatives`` the sampled noise nodes (shape ``(B, K)``), ``terms``
-        an ``ObjectiveTerms`` and ``trainable`` the boolean mask of the rows
-        that may receive updates.
+        ``ego``/``context`` are the ``(T, D)`` slot tables of the trainable
+        rows (updated in place), ``heads``/``tails`` the sampled directed
+        edges (shape ``(B,)``), ``negatives`` the sampled noise nodes (shape
+        ``(B, K)``) and ``terms`` an ``ObjectiveTerms``.  The terms run one
+        after another, each scoring from the tables as the previous term
+        left them, and each draws one ``(B, D)`` dropout mask.  The loss
+        covers the pairs the step scores: every target of a row whose head
+        is trainable, and the positive plus any trainable negative of a row
+        whose head is not.
         """
+        pairs = self._pairs(heads, tails, negatives)
         loss = 0.0
         if terms.second_order:
-            loss += self._skipgram_step(ego, context, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+            loss += self._step(ego, context, self._frozen_ego,
+                               self._frozen_context, pairs, learning_rate,
+                               config, rng)
         if terms.symmetric:
-            loss += self._skipgram_step(context, ego, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+            loss += self._step(context, ego, self._frozen_context,
+                               self._frozen_ego, pairs, learning_rate,
+                               config, rng)
         if terms.first_order:
-            loss += self._skipgram_step(ego, ego, heads, tails, negatives,
-                                        learning_rate, trainable, config, rng)
+            loss += self._step(ego, ego, self._frozen_ego, self._frozen_ego,
+                               pairs, learning_rate, config, rng)
         return loss
 
-    @staticmethod
-    def _skipgram_step(source_table: np.ndarray, target_table: np.ndarray,
-                       heads: np.ndarray, tails: np.ndarray,
-                       negatives: np.ndarray, lr: float,
-                       trainable: np.ndarray, config,
-                       rng: np.random.Generator) -> float:
-        """One negative-sampling step: pull source[heads] towards target[tails].
+    def _pairs(self, heads, tails, negatives) -> dict:
+        """The (row, target) pairs of a batch that can move a trainable row.
 
-        ``source_table`` and ``target_table`` select which embedding matrix
-        plays the "input" and "output" role; passing (ego, context) gives the
-        second-order term, (context, ego) the E-LINE symmetric term and
-        (ego, ego) the first-order term.
+        A row whose head is trainable scores its positive and all ``K``
+        negatives (its gradient needs them all); a row whose head is frozen
+        or void scores its positive and only those negatives that are
+        trainable, since no other target of it can change.  Sources are
+        laid out trainable-head rows first, and pairs in three blocks: the
+        ``(n, K+1)`` targets of the trainable-head rows, row-major with the
+        positive first; the positives of the other rows; their trainable
+        negatives.
         """
-        source = source_table[heads]                      # (B, D)
-        positive_target = target_table[tails]             # (B, D)
-        negative_target = target_table[negatives]         # (B, K, D)
+        block = negatives.shape[1] + 1
+        head_slot = self._slot[heads]
+        trained_rows = np.flatnonzero(head_slot >= 0)
+        other_rows = np.flatnonzero(head_slot < 0)
+        trained = trained_rows.size
+        trained_targets = np.empty((trained, block), dtype=np.int64)
+        trained_targets[:, 0] = tails[trained_rows]
+        trained_targets[:, 1:] = negatives[trained_rows]
+        other_negatives = negatives[other_rows]
+        extra_rows, extra_cols = np.nonzero(self._slot[other_negatives] >= 0)
+        targets = np.concatenate((trained_targets.ravel(), tails[other_rows],
+                                  other_negatives[extra_rows, extra_cols]))
+        target_slot = self._slot[targets]
+        moving = np.flatnonzero(target_slot >= 0)
+        trained_slot = head_slot[trained_rows]
+        other_sources = trained + np.concatenate(
+            (np.arange(other_rows.size), extra_rows))
+        pair_source = np.concatenate((np.repeat(np.arange(trained), block),
+                                      other_sources))
+        return {
+            "order": np.concatenate((trained_rows, other_rows)),
+            "trained": trained,
+            "block": block,
+            "positives_end": trained * block + other_rows.size,
+            "trained_slot": trained_slot,
+            "pair_slot": np.repeat(trained_slot, block),
+            "other_heads": heads[other_rows],
+            "other_sources": other_sources,
+            "void_sources": trained + np.flatnonzero(
+                head_slot[other_rows] == _VOID),
+            "targets": targets,
+            "moving": moving,
+            "moving_slot": target_slot[moving],
+            "moving_source": pair_source[moving],
+            "void_targets": np.flatnonzero(target_slot == _VOID),
+        }
 
+    def _step(self, source_table, target_table, frozen_source, frozen_target,
+              pairs, lr, config, rng) -> float:
+        """One negative-sampling step over the scored pairs of a batch.
+
+        ``source_table``/``target_table`` are the slot tables that play the
+        "input" and "output" role and ``frozen_source``/``frozen_target``
+        the frozen tables behind them; (ego, context) gives the
+        second-order term, (context, ego) the E-LINE symmetric term and
+        (ego, ego) the first-order term.  Both sides are gathered before
+        either is updated.
+        """
+        trained, block = pairs["trained"], pairs["block"]
+        split, positives_end = trained * block, pairs["positives_end"]
+        order = pairs["order"]
+        dim = source_table.shape[1]
+
+        source = np.empty((order.size, dim))
+        np.take(source_table, pairs["trained_slot"], axis=0,
+                out=source[:trained])
+        np.take(frozen_source, pairs["other_heads"], axis=0,
+                out=source[trained:], mode="clip")
+        source[pairs["void_sources"]] = 0.0
         if config.dropout > 0.0:
+            # The mask is drawn in batch-row order; `src * bool * (1/keep)`
+            # is bit-equal to `src * ((u < keep) / keep)`.
             keep = 1.0 - config.dropout
-            mask = (rng.random(source.shape) < keep) / keep
-            source = source * mask
+            source *= np.take(rng.random(source.shape) < keep, order, axis=0)
+            source *= 1.0 / keep
+        target = np.take(frozen_target, pairs["targets"], axis=0, mode="clip")
+        moving = pairs["moving"]
+        target[moving] = target_table[pairs["moving_slot"]]
+        target[pairs["void_targets"]] = 0.0
 
-        pos_score = np.einsum("bd,bd->b", source, positive_target)
-        neg_score = np.einsum("bd,bkd->bk", source, negative_target)
+        sig = np.empty(target.shape[0])
+        np.einsum("bkd,bd->bk", target[:split].reshape(trained, block, dim),
+                  source[:trained], out=sig[:split].reshape(trained, block))
+        np.einsum("pd,pd->p", target[split:], source[pairs["other_sources"]],
+                  out=sig[split:])
+        np.clip(sig, -_SIGMOID_CLIP, _SIGMOID_CLIP, out=sig)
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        # Loss -log sigma(pos) - sum_k log sigma(-neg_k); its gradient
+        # coefficient is sigma - 1 on a positive and sigma on a negative.
+        likelihood = 1.0 - sig
+        likelihood[:split:block] = sig[:split:block]
+        likelihood[split:positives_end] = sig[split:positives_end]
+        np.maximum(likelihood, _LOG_FLOOR, out=likelihood)
+        loss = -float(np.log(likelihood, out=likelihood).sum())
+        sig[:split:block] -= 1.0
+        sig[split:positives_end] -= 1.0
 
-        pos_sig = sigmoid(pos_score)
-        neg_sig = sigmoid(neg_score)
+        grad_source = self._reduce(sig[:split], target[:split],
+                                   pairs["pair_slot"])
+        grad_target = self._reduce(sig[moving],
+                                   source[pairs["moving_source"]],
+                                   pairs["moving_slot"])
+        source_table -= lr * grad_source
+        target_table -= lr * grad_target
+        return loss
 
-        # Gradients of the negative-sampling loss
-        #   -log sigma(pos) - sum_k log sigma(-neg_k)
-        pos_coeff = pos_sig - 1.0                          # (B,)
-        neg_coeff = neg_sig                                # (B, K)
-
-        # Gradients land on the few trainable rows only, so compute and
-        # scatter just that subset.  Values are identical to masking the
-        # full-batch gradients and scattering everything — the dropped
-        # updates are exact zeros, the kept ones are the same elementwise
-        # products in the same accumulation order — but the per-batch cost
-        # tracks the number of trainable-row touches instead of B * (K + 1),
-        # and the (B, K, D) negative-gradient tensor is never materialised.
-        head_rows = np.flatnonzero(trainable[heads])
-        if head_rows.size:
-            grad_source = (
-                pos_coeff[head_rows][:, None] * positive_target[head_rows]
-                + np.einsum("bk,bkd->bd", neg_coeff[head_rows],
-                            negative_target[head_rows]))
-            np.add.at(source_table, heads[head_rows], -lr * grad_source)
-        tail_rows = np.flatnonzero(trainable[tails])
-        if tail_rows.size:
-            grad_positive = pos_coeff[tail_rows][:, None] * source[tail_rows]
-            np.add.at(target_table, tails[tail_rows], -lr * grad_positive)
-        negative_mask = trainable[negatives]
-        if negative_mask.any():
-            rows, cols = np.nonzero(negative_mask)         # row-major order
-            grad_negative = neg_coeff[rows, cols][:, None] * source[rows]
-            np.add.at(target_table, negatives[rows, cols],
-                      -lr * grad_negative)
-
-        with np.errstate(divide="ignore"):
-            pos_loss = -np.log(np.maximum(pos_sig, _LOG_FLOOR)).sum()
-            neg_loss = -np.log(np.maximum(1.0 - neg_sig, _LOG_FLOOR)).sum()
-        return float(pos_loss + neg_loss)
+    def _reduce(self, coeff, rows, slots) -> np.ndarray:
+        """Sum ``coeff * rows`` onto the ``(T, D)`` slot table."""
+        if self._slots == 1:
+            return (coeff @ rows)[None, :]
+        dim = rows.shape[1]
+        bins = (slots[:, None] * dim + np.arange(dim)).ravel()
+        totals = np.bincount(bins, weights=(coeff[:, None] * rows).ravel(),
+                             minlength=self._slots * dim)
+        return totals.reshape(self._slots, dim)
 
 
 class FusedKernel:
@@ -202,8 +301,10 @@ class FusedKernel:
                     learning_rate, terms, config, rng):
         """Apply one mini-batch update to the full tables; return the loss.
 
-        Same arguments as :meth:`ReferenceKernel.train_batch`, without a
-        ``trainable`` mask: every row may receive updates.
+        ``ego``/``context`` are the full tables, every row of which may
+        receive updates; ``heads``/``tails`` are the sampled directed edges
+        (shape ``(B,)``), ``negatives`` the sampled noise nodes (shape
+        ``(B, K)``) and ``terms`` an ``ObjectiveTerms``.
         """
         batch, num_negatives = negatives.shape
         dim = ego.shape[1]

@@ -9,7 +9,7 @@ Given a trained graph, embedding and cluster model, the
 2. its ego/context embeddings are trained against the overlay while every
    previously learned embedding stays frozen
    (:meth:`ELINEEmbedder.embed_new_nodes_arrays`, which trains exactly the
-   staged rows);
+   staged rows, as small slot tables, and reads every frozen row in place);
 3. its floor is predicted as the label of the cluster whose centroid is
    nearest in the ego embedding space.
 

@@ -1,4 +1,4 @@
-"""The historical full-table fit step, kept as a test oracle.
+"""The historical full-table training steps, kept as test oracles.
 
 Until the fused kernel became the only fit kernel, fits ran this math: one
 skip-gram step per objective term (second-order, symmetric, first-order,
@@ -8,6 +8,12 @@ tolerance per batch and at equal floor accuracy over whole test splits.
 
 :func:`oracle_fits` points the trainer's fit dispatch at this oracle for the
 duration of a ``with`` block, so whole ``GRAFICS`` fits can run on it.
+
+The frozen online update ran the same step over capacity-sized copies of
+the tables under a mask of the trainable rows, scoring every target of
+every batch row.  :class:`MaskedOnlineOracle` keeps that step behind
+``ReferenceKernel``'s interface, and :func:`oracle_online` points the
+frozen update at it, so the frozen-row step can be pinned to it row by row.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.core.embedding import eline as eline_module
 from repro.core.embedding import trainer as trainer_module
 from repro.core.embedding.kernels import sigmoid
 
@@ -86,3 +93,92 @@ def oracle_fits():
         yield
     finally:
         trainer_module.FusedKernel = original
+
+
+class MaskedOnlineOracle:
+    """The pre-frozen-row online step: masked skip-gram on full tables.
+
+    Same constructor and ``train_batch`` as ``ReferenceKernel``.  It keeps
+    capacity-sized copies of the tables (frozen rows copied, void rows
+    zero), copies the caller's slot tables into them before each batch and
+    back after it.
+    """
+
+    def __init__(self, frozen_ego, frozen_context, trainable, capacity):
+        dim = frozen_ego.shape[1]
+        self.ego = np.zeros((capacity, dim))
+        self.context = np.zeros((capacity, dim))
+        self.ego[:frozen_ego.shape[0]] = frozen_ego
+        self.context[:frozen_context.shape[0]] = frozen_context
+        self.rows = trainable
+        self.mask = np.zeros(capacity, dtype=bool)
+        self.mask[trainable] = True
+
+    def train_batch(self, ego, context, heads, tails, negatives, *,
+                    learning_rate, terms, config, rng):
+        self.ego[self.rows] = ego
+        self.context[self.rows] = context
+        loss = 0.0
+        for source, target, enabled in (
+                (self.ego, self.context, terms.second_order),
+                (self.context, self.ego, terms.symmetric),
+                (self.ego, self.ego, terms.first_order)):
+            if enabled:
+                loss += _masked_skipgram_step(source, target, heads, tails,
+                                              negatives, learning_rate,
+                                              self.mask, config, rng)
+        ego[:] = self.ego[self.rows]
+        context[:] = self.context[self.rows]
+        return loss
+
+
+def _masked_skipgram_step(source_table, target_table, heads, tails,
+                          negatives, lr, trainable, config, rng) -> float:
+    """The full-batch step, scattering only onto ``trainable`` rows."""
+    source = source_table[heads]                      # (B, D)
+    positive_target = target_table[tails]             # (B, D)
+    negative_target = target_table[negatives]         # (B, K, D)
+
+    if config.dropout > 0.0:
+        keep = 1.0 - config.dropout
+        mask = (rng.random(source.shape) < keep) / keep
+        source = source * mask
+
+    pos_sig = sigmoid(np.einsum("bd,bd->b", source, positive_target))
+    neg_sig = sigmoid(np.einsum("bd,bkd->bk", source, negative_target))
+    pos_coeff = pos_sig - 1.0                          # (B,)
+    neg_coeff = neg_sig                                # (B, K)
+
+    head_rows = np.flatnonzero(trainable[heads])
+    if head_rows.size:
+        grad_source = (
+            pos_coeff[head_rows][:, None] * positive_target[head_rows]
+            + np.einsum("bk,bkd->bd", neg_coeff[head_rows],
+                        negative_target[head_rows]))
+        np.add.at(source_table, heads[head_rows], -lr * grad_source)
+    tail_rows = np.flatnonzero(trainable[tails])
+    if tail_rows.size:
+        grad_positive = pos_coeff[tail_rows][:, None] * source[tail_rows]
+        np.add.at(target_table, tails[tail_rows], -lr * grad_positive)
+    negative_mask = trainable[negatives]
+    if negative_mask.any():
+        rows, cols = np.nonzero(negative_mask)         # row-major order
+        grad_negative = neg_coeff[rows, cols][:, None] * source[rows]
+        np.add.at(target_table, negatives[rows, cols], -lr * grad_negative)
+
+    with np.errstate(divide="ignore"):
+        pos_loss = -np.log(np.maximum(pos_sig, _LOG_FLOOR)).sum()
+        neg_loss = -np.log(np.maximum(1.0 - neg_sig, _LOG_FLOOR)).sum()
+    return float(pos_loss + neg_loss)
+
+
+@contextmanager
+def oracle_online():
+    """Run every frozen update started inside the block on
+    :class:`MaskedOnlineOracle`."""
+    original = eline_module.ReferenceKernel
+    eline_module.ReferenceKernel = MaskedOnlineOracle
+    try:
+        yield
+    finally:
+        eline_module.ReferenceKernel = original

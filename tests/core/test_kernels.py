@@ -90,7 +90,7 @@ def _building(split, building_id):
 
 class TestFitDispatch:
     """Fits run the fused kernel in :class:`EdgeSamplingTrainer`; the frozen
-    online update runs the reference kernel's masked step, outside it."""
+    online update runs the reference kernel's frozen-row step, outside it."""
 
     def test_fit_batches_run_fused(self, preset_split, dispatches):
         model = GRAFICS(CONFIG).fit(list(preset_split.train_records),
@@ -195,24 +195,27 @@ class TestFusedKernelNumerics:
         assert np.abs(ego_f - ego_r).max() < 0.25
 
     def test_frozen_rows_never_change(self, medium_graph):
-        """The frozen update's masked reference step: masked rows keep
-        their bytes, trainable rows move."""
-        trainable = np.zeros(medium_graph.index_capacity, dtype=bool)
-        trainable[:3] = True
+        """The frozen update's step: the frozen tables keep their bytes,
+        the trainable rows' slot tables move."""
+        trainable = np.arange(3)
         config = EmbeddingConfig(seed=0, samples_per_edge=50.0)
         trainer = EdgeSamplingTrainer(medium_graph, config, ELINE_TERMS)
-        ego, context = trainer.initial_embeddings()
-        ego_before, context_before = ego.copy(), context.copy()
-        kernel, rng = ReferenceKernel(), np.random.default_rng(0)
+        frozen_ego, frozen_context = trainer.initial_embeddings()
+        ego_before = frozen_ego.copy()
+        context_before = frozen_context.copy()
+        ego, context = frozen_ego[trainable], frozen_context[trainable]
+        kernel = ReferenceKernel(frozen_ego, frozen_context, trainable,
+                                 medium_graph.index_capacity)
+        rng = np.random.default_rng(0)
         for start, stop, lr in batch_schedule(config, trainer.total_samples()):
             heads, tails, negatives = trainer._sample_batch(stop - start)
             kernel.train_batch(ego, context, heads, tails, negatives,
                                learning_rate=lr, terms=ELINE_TERMS,
-                               config=config, rng=rng, trainable=trainable)
-        np.testing.assert_array_equal(ego[~trainable], ego_before[~trainable])
-        np.testing.assert_array_equal(context[~trainable],
-                                      context_before[~trainable])
-        assert not np.array_equal(ego[trainable], ego_before[trainable])
+                               config=config, rng=rng)
+        np.testing.assert_array_equal(frozen_ego, ego_before)
+        np.testing.assert_array_equal(frozen_context, context_before)
+        assert not np.array_equal(ego, ego_before[trainable])
+        assert not np.array_equal(context, context_before[trainable])
 
     def test_training_reduces_loss(self, medium_graph):
         *_, losses, _ = _train(medium_graph, dropout=0.0,
