@@ -122,9 +122,9 @@ class GraphEmbedding:
     def mac_key_set(self) -> frozenset[str]:
         """The embedded MAC vocabulary as a set, built once per embedding.
 
-        "Which graph MACs does this embedding miss?" is asked by the
-        mutated-graph route of the incremental embedder and once per online
-        engine; caching the key set keeps it a C-level set difference.
+        "Which graph MACs does this embedding miss?" is asked once per
+        online engine, before its first predict; caching the key set keeps
+        it a C-level set difference.
         """
         if self._mac_keys is None:
             self._mac_keys = frozenset(self.mac_index)

@@ -33,11 +33,12 @@ embedding tables.  Each caller has its own kernel — there is no setting:
 
 * :class:`ReferenceKernel` is the step of the frozen online update of new
   records (Section V-A, ``ELINEEmbedder.embed_new_nodes_arrays``).  Only the
-  new rows can move, so it trains them as small ``(T, D)`` slot tables and
-  reads every other row of the frozen embedding in place with ``np.take``;
-  no table is copied while it trains.  Per batch it runs one skip-gram step
-  per objective term, in the order second-order, symmetric, first-order,
-  each scoring from the tables as the previous term left them (Gauss-Seidel
+  new rows can move: they are the rows past the frozen tables (an overlay's
+  staged nodes), trained as small ``(T, D)`` slot tables, while every row
+  of the frozen embedding is read in place with ``np.take``; no table is
+  copied while it trains.  Per batch it runs one skip-gram step per
+  objective term, in the order second-order, symmetric, first-order, each
+  scoring from the tables as the previous term left them (Gauss-Seidel
   across terms, which a cold predict's two or three batches need).  A row
   whose head is trainable scores its positive and its ``K`` negatives; a
   row whose head is frozen scores its positive and only its trainable
@@ -64,10 +65,6 @@ _SIGMOID_CLIP = 30.0
 #: Floor inside the log() of the loss, mirroring the reference step.
 _LOG_FLOOR = 1e-12
 
-#: ``ReferenceKernel`` slot codes of the rows that cannot move.
-_FROZEN = -1
-_VOID = -2
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic function."""
@@ -78,24 +75,17 @@ class ReferenceKernel:
     """The frozen online update: skip-gram steps on the rows that can move.
 
     One instance serves one frozen update.  It is built over the frozen
-    ``ego``/``context`` tables, which it only reads, and the indices of the
-    ``trainable`` rows in an index space of ``capacity`` rows.  Every
-    index is one of three kinds: a trainable row, whose current values live
-    in the caller's ``(T, D)`` slot tables; a frozen row (below the frozen
-    tables' length), read in place; or a void row (past them, not
-    trainable: an unembedded node of a mutated graph, a retired index),
-    which reads as zeros and never moves.
+    ``ego``/``context`` tables, which it only reads.  An index below their
+    length is a frozen row, read in place; an index at or past it is a
+    trainable row, whose current values live at slot ``index - length`` of
+    the caller's ``(T, D)`` slot tables.
     """
 
-    def __init__(self, frozen_ego: np.ndarray, frozen_context: np.ndarray,
-                 trainable: np.ndarray, capacity: int) -> None:
+    def __init__(self, frozen_ego: np.ndarray,
+                 frozen_context: np.ndarray) -> None:
         self._frozen_ego = frozen_ego
         self._frozen_context = frozen_context
-        slot = np.full(capacity, _VOID, dtype=np.int64)
-        slot[:frozen_ego.shape[0]] = _FROZEN
-        slot[trainable] = np.arange(trainable.size)
-        self._slot = slot
-        self._slots = trainable.size
+        self._frozen_rows = frozen_ego.shape[0]
 
     def train_batch(self, ego, context, heads, tails, negatives, *,
                     learning_rate, terms, config, rng):
@@ -131,28 +121,27 @@ class ReferenceKernel:
 
         A row whose head is trainable scores its positive and all ``K``
         negatives (its gradient needs them all); a row whose head is frozen
-        or void scores its positive and only those negatives that are
-        trainable, since no other target of it can change.  Sources are
-        laid out trainable-head rows first, and pairs in three blocks: the
-        ``(n, K+1)`` targets of the trainable-head rows, row-major with the
+        scores its positive and only those negatives that are trainable,
+        since no other target of it can change.  Sources are laid out
+        trainable-head rows first, and pairs in three blocks: the ``(n,
+        K+1)`` targets of the trainable-head rows, row-major with the
         positive first; the positives of the other rows; their trainable
         negatives.
         """
+        frozen = self._frozen_rows
         block = negatives.shape[1] + 1
-        head_slot = self._slot[heads]
-        trained_rows = np.flatnonzero(head_slot >= 0)
-        other_rows = np.flatnonzero(head_slot < 0)
+        trained_rows = np.flatnonzero(heads >= frozen)
+        other_rows = np.flatnonzero(heads < frozen)
         trained = trained_rows.size
         trained_targets = np.empty((trained, block), dtype=np.int64)
         trained_targets[:, 0] = tails[trained_rows]
         trained_targets[:, 1:] = negatives[trained_rows]
         other_negatives = negatives[other_rows]
-        extra_rows, extra_cols = np.nonzero(self._slot[other_negatives] >= 0)
+        extra_rows, extra_cols = np.nonzero(other_negatives >= frozen)
         targets = np.concatenate((trained_targets.ravel(), tails[other_rows],
                                   other_negatives[extra_rows, extra_cols]))
-        target_slot = self._slot[targets]
-        moving = np.flatnonzero(target_slot >= 0)
-        trained_slot = head_slot[trained_rows]
+        moving = np.flatnonzero(targets >= frozen)
+        trained_slot = heads[trained_rows] - frozen
         other_sources = trained + np.concatenate(
             (np.arange(other_rows.size), extra_rows))
         pair_source = np.concatenate((np.repeat(np.arange(trained), block),
@@ -166,13 +155,10 @@ class ReferenceKernel:
             "pair_slot": np.repeat(trained_slot, block),
             "other_heads": heads[other_rows],
             "other_sources": other_sources,
-            "void_sources": trained + np.flatnonzero(
-                head_slot[other_rows] == _VOID),
             "targets": targets,
             "moving": moving,
-            "moving_slot": target_slot[moving],
+            "moving_slot": targets[moving] - frozen,
             "moving_source": pair_source[moving],
-            "void_targets": np.flatnonzero(target_slot == _VOID),
         }
 
     def _step(self, source_table, target_table, frozen_source, frozen_target,
@@ -196,7 +182,6 @@ class ReferenceKernel:
                 out=source[:trained])
         np.take(frozen_source, pairs["other_heads"], axis=0,
                 out=source[trained:], mode="clip")
-        source[pairs["void_sources"]] = 0.0
         if config.dropout > 0.0:
             # The mask is drawn in batch-row order; `src * bool * (1/keep)`
             # is bit-equal to `src * ((u < keep) / keep)`.
@@ -206,7 +191,6 @@ class ReferenceKernel:
         target = np.take(frozen_target, pairs["targets"], axis=0, mode="clip")
         moving = pairs["moving"]
         target[moving] = target_table[pairs["moving_slot"]]
-        target[pairs["void_targets"]] = 0.0
 
         sig = np.empty(target.shape[0])
         np.einsum("bkd,bd->bk", target[:split].reshape(trained, block, dim),
@@ -228,24 +212,24 @@ class ReferenceKernel:
         sig[:split:block] -= 1.0
         sig[split:positives_end] -= 1.0
 
-        grad_source = self._reduce(sig[:split], target[:split],
-                                   pairs["pair_slot"])
-        grad_target = self._reduce(sig[moving],
-                                   source[pairs["moving_source"]],
-                                   pairs["moving_slot"])
+        grad_source = _reduce(sig[:split], target[:split],
+                              pairs["pair_slot"], source_table.shape)
+        grad_target = _reduce(sig[moving], source[pairs["moving_source"]],
+                              pairs["moving_slot"], target_table.shape)
         source_table -= lr * grad_source
         target_table -= lr * grad_target
         return loss
 
-    def _reduce(self, coeff, rows, slots) -> np.ndarray:
-        """Sum ``coeff * rows`` onto the ``(T, D)`` slot table."""
-        if self._slots == 1:
-            return (coeff @ rows)[None, :]
-        dim = rows.shape[1]
-        bins = (slots[:, None] * dim + np.arange(dim)).ravel()
-        totals = np.bincount(bins, weights=(coeff[:, None] * rows).ravel(),
-                             minlength=self._slots * dim)
-        return totals.reshape(self._slots, dim)
+
+def _reduce(coeff, rows, slots, shape) -> np.ndarray:
+    """Sum ``coeff * rows`` onto a slot table of ``shape`` ``(T, D)``."""
+    if shape[0] == 1:
+        return (coeff @ rows)[None, :]
+    dim = shape[1]
+    bins = (slots[:, None] * dim + np.arange(dim)).ravel()
+    totals = np.bincount(bins, weights=(coeff[:, None] * rows).ravel(),
+                         minlength=shape[0] * dim)
+    return totals.reshape(shape)
 
 
 class FusedKernel:

@@ -395,9 +395,8 @@ class SamplerCache:
     bumps the version, so a cached sampler is only ever returned for the
     exact graph state it was built from — a hit is byte-identical to a fresh
     construction (samplers are immutable once built).  Repeated fits and
-    ablations over an *unchanged* graph, and repeated mutated-graph
-    ``embed_new_nodes`` calls at one version, reuse the alias tables
-    instead of re-running the O(V+E) builds.  Online
+    ablations over an *unchanged* graph reuse the alias tables instead of
+    re-running the O(V+E) builds.  Online
     inference stages its probe records on a ``GraphOverlay`` instead of
     mutating the graph, so the graph's version — and therefore any entry
     cached here — survives arbitrarily many predictions.

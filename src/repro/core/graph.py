@@ -354,42 +354,6 @@ class BipartiteGraph:
                 np.concatenate(target_chunks),
                 np.concatenate(weight_chunks))
 
-    def incident_edge_arrays(
-            self, node_indices: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, targets, weights)`` over edges incident to given nodes.
-
-        Exactly the subset (and the order) a mask filter over
-        :meth:`edge_arrays` would keep, but built from the adjacency of the
-        restricted nodes alone — O(incident edges), independent of |E|.
-        These are the positive edges of the frozen online update.  Indices
-        of retired nodes select nothing.
-        """
-        wanted = np.zeros(self.index_capacity, dtype=bool)
-        wanted[np.asarray(node_indices, dtype=np.int64)] = True
-        mac_indices: set[int] = set()
-        for index in np.flatnonzero(wanted):
-            node = self._nodes_by_index.get(int(index))
-            if node is None:
-                continue
-            if node.kind is NodeKind.MAC:
-                mac_indices.add(int(index))
-            else:
-                mac_indices.update(self._adjacency[int(index)])
-        source_chunks: list[int] = []
-        target_chunks: list[int] = []
-        weight_chunks: list[float] = []
-        for mac_index in sorted(mac_indices):
-            mac_wanted = wanted[mac_index]
-            for record_index, weight in self._adjacency[mac_index].items():
-                if mac_wanted or wanted[record_index]:
-                    source_chunks.append(mac_index)
-                    target_chunks.append(record_index)
-                    weight_chunks.append(weight)
-        return (np.asarray(source_chunks, dtype=np.int64),
-                np.asarray(target_chunks, dtype=np.int64),
-                np.asarray(weight_chunks, dtype=np.float64))
-
     def _flush_degrees(self) -> None:
         if self._dirty_degrees:
             # The unlocked truthiness peek keeps the clean (serving) case

@@ -18,13 +18,14 @@ prediction writes neither the graph nor the embedding, so the graph's
 version counter (and every cache keyed on it) survives arbitrarily many
 predictions, concurrent predictions against one model need no mutual
 exclusion, and a pickled twin serves the same bytes (test-enforced).
-Against the mutate-the-graph route the sampler inputs are equal bit for
-bit — positive edge arrays with their weights and negative-sampling
-probabilities — while the draw sequence differs, because the negative
-sampler is composed from the base graph's cached table instead of being
-rebuilt per prediction.  Training only the staged rows is exact because a
-served model's embedding covers every MAC of its graph; each engine checks
-that once, on its first predict.
+The overlay is the only online route: the frozen update trains on the
+staged edges and a negative sampler composed from the base graph's cached
+table, whose inputs equal a full rebuild over the enlarged graph bit for
+bit (test-enforced against the historical mutate-the-graph route, which
+the test suite keeps as an oracle) while its draw sequence differs.
+Training only the staged rows is exact because a served model's
+embedding covers every MAC of its graph; each engine checks that once, on
+its first predict.
 
 A sample whose MAC addresses are *all* unseen carries no information that
 connects it to the building; the paper discards such samples as likely
@@ -149,9 +150,10 @@ class OnlineInferenceEngine:
                        ) -> list[FloorPrediction]:
         """Embed ``records`` jointly against the frozen model and classify them.
 
-        The records are staged on a :class:`GraphOverlay`; the new rows are
-        read by overlay index, so no :class:`GraphEmbedding` is assembled
-        and neither the graph nor ``self.embedding`` is written.
+        The records are staged on a :class:`GraphOverlay`; the frozen update
+        returns only the staged rows, read by overlay index past the base
+        capacity, so no :class:`GraphEmbedding` is assembled and neither the
+        graph nor ``self.embedding`` is written.
         """
         with obs.span("online.predict") as predict_span:
             predict_span.set("records", len(records))
@@ -170,8 +172,8 @@ class OnlineInferenceEngine:
                             "likely collected outside the building")
 
                 overlay = GraphOverlay(self.graph)
-                for record in records:
-                    overlay.add_record(record)
+                rows = [overlay.add_record(record).index
+                        - overlay.base_capacity for record in records]
 
             ego, _, _ = self.embedder.embed_new_nodes_arrays(
                 overlay, self.embedding,
@@ -179,9 +181,8 @@ class OnlineInferenceEngine:
 
             with obs.span("online.classify"):
                 predictions = []
-                for record in records:
-                    vector = ego[overlay.get_node(NodeKind.RECORD,
-                                                  record.record_id).index]
+                for record, row in zip(records, rows):
+                    vector = ego[row]
                     floor, distance = \
                         self.cluster_model.predict_with_distance(vector)
                     predictions.append(FloorPrediction(

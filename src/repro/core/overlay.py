@@ -11,13 +11,14 @@ cache), dirties the degree array and must hold the serving write lock.
 :class:`GraphOverlay` gives the online path the same enlarged-graph view
 without touching the base graph.  Staged records (and the MAC nodes they
 introduce) are allocated dense indices *past* the base graph's
-``index_capacity``, and every composed view — incident-edge arrays over
-the staged nodes, the weighted degree array, node lookups — is built from
-base + delta exactly as the mutated graph would have built it, bit for bit
-(test-enforced).  The frozen online update therefore optimises exactly the
-objective the mutate-the-graph route does: the same positive edges, and a
-negative sampler composed from the base graph's cached table whose
-per-index probabilities equal a full rebuild's.
+``index_capacity``, and every composed view — the staged edges, the
+weighted degree array, node lookups — is built from base + delta exactly as
+a graph with the records added would have built it, bit for bit
+(test-enforced).  The frozen online update, which runs on overlays only,
+therefore optimises the objective of that enlarged graph: its positive
+edges are the staged edges, and its negative sampler is composed from the
+base graph's cached table with per-index probabilities equal to a full
+rebuild's.
 
 Nothing staged on an overlay is ever written back to the base.  An
 overlay is a short-lived, single-threaded view.  It pins the base graph's
@@ -45,9 +46,9 @@ class GraphOverlay:
 
     Duck-types the subset of :class:`BipartiteGraph` the cold online path
     reads (``index_capacity``, ``num_edges``, node lookups,
-    ``incident_edge_arrays`` over staged nodes, ``degree_array``), with
-    every view composed from the immutable base and the overlay's private
-    delta.
+    ``degree_array``) and adds the staged views the frozen update trains
+    on (``incident_edge_arrays``, ``delta_degree_patch``), with every view
+    composed from the immutable base and the overlay's private delta.
     """
 
     def __init__(self, base: BipartiteGraph) -> None:
@@ -103,10 +104,9 @@ class GraphOverlay:
             return node
         return self.base.get_node(kind, key)
 
-    def delta_mac_nodes(self) -> list[Node]:
-        """Staged MAC nodes (MACs unseen by the base graph), by index."""
-        return [node for node in self._delta_by_index.values()
-                if node.kind is NodeKind.MAC]
+    def delta_nodes(self) -> list[Node]:
+        """Staged nodes (records and MACs unseen by the base graph), by index."""
+        return list(self._delta_by_index.values())
 
     # ---------------------------------------------------------------- staging
     def add_record(self, record: SignalRecord) -> Node:
@@ -191,51 +191,30 @@ class GraphOverlay:
             degrees[position] = value
         return indices, degrees
 
-    def incident_edge_arrays(
-            self, node_indices: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, targets, weights)`` over edges incident to staged nodes.
+    def incident_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, targets, weights)`` over the staged edges.
 
-        Exactly the arrays :meth:`BipartiteGraph.incident_edge_arrays` would
-        return on the mutated graph, in the same order (MAC nodes by index,
-        per-MAC adjacency in insertion order).  Every requested node must be
-        a staged delta node — the cold path restricts training to the new
-        records and the MACs they introduce, because a served model's
-        embedding covers every base MAC — so no base edge can qualify and
-        only the delta is walked: O(staged edges), independent of both |E|
-        and the degree of the touched MACs.  A base index raises
-        :class:`ValueError`.
+        Exactly the edges a mask filter over the mutated graph's
+        :meth:`~BipartiteGraph.edge_arrays` keeps for the staged nodes, in
+        the same order (MAC nodes by index, per-MAC adjacency in insertion
+        order).  These are the positive edges of the frozen online update.
+        Every edge incident to a staged node is a staged edge, so only the
+        delta is walked: O(staged edges), independent of both |E| and the
+        degree of the touched MACs.
         """
         self._check_live()
-        wanted_indices = np.asarray(node_indices, dtype=np.int64)
-        if (wanted_indices.size
-                and int(wanted_indices.min()) < self._base_capacity):
-            raise ValueError(
-                f"restriction holds base index {int(wanted_indices.min())}; "
-                "an overlay restricts only to staged nodes (indices >= "
-                f"{self._base_capacity})")
-
         source_chunks: list[int] = []
         target_chunks: list[int] = []
         weight_chunks: list[float] = []
-        wanted_set = set(map(int, wanted_indices))
-        mac_indices: set[int] = set()
-        for index in wanted_set:
-            node = self._delta_by_index.get(index)
-            if node is None:
+        for mac_index in sorted(self._delta_adjacency):
+            node = self._delta_by_index.get(mac_index)
+            if node is not None and node.kind is NodeKind.RECORD:
                 continue
-            if node.kind is NodeKind.MAC:
-                mac_indices.add(index)
-            else:
-                mac_indices.update(self._delta_adjacency.get(index, ()))
-        for mac_index in sorted(mac_indices):
-            mac_wanted = mac_index in wanted_set
-            for record_index, weight in self._delta_adjacency.get(
-                    mac_index, {}).items():
-                if mac_wanted or record_index in wanted_set:
-                    source_chunks.append(mac_index)
-                    target_chunks.append(record_index)
-                    weight_chunks.append(weight)
+            for record_index, weight in self._delta_adjacency[
+                    mac_index].items():
+                source_chunks.append(mac_index)
+                target_chunks.append(record_index)
+                weight_chunks.append(weight)
         return (np.asarray(source_chunks, dtype=np.int64),
                 np.asarray(target_chunks, dtype=np.int64),
                 np.asarray(weight_chunks, dtype=np.float64))

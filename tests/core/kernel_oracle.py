@@ -14,6 +14,19 @@ the tables under a mask of the trainable rows, scoring every target of
 every batch row.  :class:`MaskedOnlineOracle` keeps that step behind
 ``ReferenceKernel``'s interface, and :func:`oracle_online` points the
 frozen update at it, so the frozen-row step can be pinned to it row by row.
+
+Online inference once mutated the shared graph: add the records, embed
+them against the frozen model, remove them again.  :func:`legacy_frozen_update`
+and :func:`legacy_embed_new_nodes` re-enact that route end to end on a
+mutated :class:`~repro.core.graph.BipartiteGraph`, for the tests that pin
+the overlay's sampler inputs and floor accuracy to it:
+
+* trainable rows: the named records plus the MACs the embedding lacks;
+* positives: a mask filter over ``graph.edge_arrays()``;
+* negatives: the graph's full (version-cached) ``NegativeSampler``;
+* the step: :class:`MaskedOnlineOracle` over capacity-sized tables, on
+  which a row that is neither frozen nor trainable (another record added
+  to the graph, a retired index) reads as zeros and never moves.
 """
 
 from __future__ import annotations
@@ -24,7 +37,10 @@ import numpy as np
 
 from repro.core.embedding import eline as eline_module
 from repro.core.embedding import trainer as trainer_module
+from repro.core.embedding.base import GraphEmbedder, GraphEmbedding
 from repro.core.embedding.kernels import sigmoid
+from repro.core.embedding.trainer import _SAMPLER_CACHE, batch_schedule
+from repro.core.graph import NodeKind
 
 _LOG_FLOOR = 1e-12
 
@@ -98,13 +114,24 @@ def oracle_fits():
 class MaskedOnlineOracle:
     """The pre-frozen-row online step: masked skip-gram on full tables.
 
-    Same constructor and ``train_batch`` as ``ReferenceKernel``.  It keeps
-    capacity-sized copies of the tables (frozen rows copied, void rows
-    zero), copies the caller's slot tables into them before each batch and
-    back after it.
+    Same constructor and ``train_batch`` as ``ReferenceKernel``: the
+    trainable rows are the ones past the frozen tables, as many as the
+    first batch's slot tables hold.  The legacy route instead names its
+    ``trainable`` rows in an index space of ``capacity`` rows, which may
+    hold rows that are neither (void).  It keeps capacity-sized copies of
+    the tables (frozen rows copied, void rows zero), copies the caller's
+    slot tables into them before each batch and back after it.
     """
 
-    def __init__(self, frozen_ego, frozen_context, trainable, capacity):
+    def __init__(self, frozen_ego, frozen_context, trainable=None,
+                 capacity=None):
+        self.frozen = frozen_ego, frozen_context
+        self.rows = None
+        if trainable is not None:
+            self._allocate(trainable, capacity)
+
+    def _allocate(self, trainable, capacity):
+        frozen_ego, frozen_context = self.frozen
         dim = frozen_ego.shape[1]
         self.ego = np.zeros((capacity, dim))
         self.context = np.zeros((capacity, dim))
@@ -116,6 +143,10 @@ class MaskedOnlineOracle:
 
     def train_batch(self, ego, context, heads, tails, negatives, *,
                     learning_rate, terms, config, rng):
+        if self.rows is None:
+            frozen = self.frozen[0].shape[0]
+            capacity = frozen + ego.shape[0]
+            self._allocate(np.arange(frozen, capacity), capacity)
         self.ego[self.rows] = ego
         self.context[self.rows] = context
         loss = 0.0
@@ -182,3 +213,77 @@ def oracle_online():
         yield
     finally:
         eline_module.ReferenceKernel = original
+
+
+def legacy_frozen_inputs(graph, embedding, new_record_ids):
+    """What the legacy route trained on: the sorted trainable indices, the
+    ``(sources, targets, weights)`` of their incident edges and the graph's
+    full negative sampler."""
+    indices = [graph.get_node(NodeKind.RECORD, record_id).index
+               for record_id in new_record_ids]
+    indices += graph.unknown_mac_indices(embedding.mac_key_set())
+    trainable = np.unique(np.asarray(indices, dtype=np.int64))
+    negatives = _SAMPLER_CACHE.negative_sampler(graph)
+    sources, targets, weights = graph.edge_arrays()
+    wanted = np.zeros(graph.index_capacity, dtype=bool)
+    wanted[trainable] = True
+    keep = wanted[sources] | wanted[targets]
+    return trainable, (sources[keep], targets[keep], weights[keep]), negatives
+
+
+def legacy_frozen_update(graph, embedding, new_record_ids, config):
+    """The legacy frozen update on a mutated graph.
+
+    Returns ``(ego, context, losses)`` over the graph's whole index space:
+    frozen rows as they were, trained rows in place, void rows zero.  Draws
+    like the overlay route (fresh rows, then inverse-CDF positives, then
+    negatives), from its own inputs.
+    """
+    trainable, (sources, targets, weights), negative_sampler = \
+        legacy_frozen_inputs(graph, embedding, new_record_ids)
+    capacity = graph.index_capacity
+    dim = config.dimension
+    scale = config.init_scale / dim
+    rng = np.random.default_rng(config.seed)
+    fresh = rng.uniform(-scale, scale, size=(trainable.size, 2, dim))
+    ego, context = fresh[:, 0], fresh[:, 1]
+    frozen_rows = min(embedding.ego.shape[0], capacity)
+    frozen_ego = embedding.ego[:frozen_rows]
+    frozen_context = embedding.context[:frozen_rows]
+
+    total = max(1, int(config.samples_per_edge * sources.size))
+    cdf = np.cumsum(np.concatenate((weights, weights)))
+    picks = np.searchsorted(cdf, rng.random(total) * cdf[-1], side="right")
+    heads = np.concatenate((sources, targets))[picks]
+    tails = np.concatenate((targets, sources))[picks]
+    negatives = negative_sampler.sample(total, config.negative_samples, rng)
+
+    kernel = MaskedOnlineOracle(frozen_ego, frozen_context, trainable,
+                                capacity)
+    losses = []
+    for start, stop, lr in batch_schedule(config, total):
+        loss = kernel.train_batch(
+            ego, context, heads[start:stop], tails[start:stop],
+            negatives[start:stop], learning_rate=lr,
+            terms=eline_module._ELINE_TERMS, config=config, rng=rng)
+        losses.append(loss / (stop - start))
+
+    ego_out = np.zeros((capacity, dim))
+    context_out = np.zeros((capacity, dim))
+    ego_out[:frozen_rows] = frozen_ego
+    context_out[:frozen_rows] = frozen_context
+    ego_out[trainable] = ego
+    context_out[trainable] = context
+    return ego_out, context_out, losses
+
+
+def legacy_embed_new_nodes(graph, embedding, new_record_ids, config):
+    """The legacy route's enlarged :class:`GraphEmbedding` over ``graph``,
+    which the records were added to."""
+    ego, context, losses = legacy_frozen_update(graph, embedding,
+                                                list(new_record_ids), config)
+    record_index, mac_index = GraphEmbedder._index_maps(graph)
+    return GraphEmbedding(ego=ego, context=context,
+                          record_index=record_index, mac_index=mac_index,
+                          config=config,
+                          training_loss=list(embedding.training_loss) + losses)

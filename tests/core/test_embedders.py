@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.embedding import ELINEEmbedder, EmbeddingConfig, LINEEmbedder
 from repro.core.graph import build_graph
+from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 
 
@@ -80,50 +81,45 @@ class TestIncrementalEmbedding:
         embedding = embedder.fit(two_floor_graph)
         old_vector = embedding.record_vector("f0-0").copy()
 
-        new_record = record("online-1", {"a0": -55.0, "a1": -60.0})
-        two_floor_graph.add_record(new_record)
-        try:
-            enlarged = embedder.embed_new_nodes(two_floor_graph, embedding,
-                                                ["online-1"])
-            assert enlarged.has_record("online-1")
-            np.testing.assert_array_equal(enlarged.record_vector("f0-0"),
-                                          old_vector)
-            assert np.isfinite(enlarged.record_vector("online-1")).all()
-            # The original embedding object is untouched.
-            assert not embedding.has_record("online-1")
-        finally:
-            two_floor_graph.remove_record("online-1")
+        overlay = GraphOverlay(two_floor_graph)
+        overlay.add_record(record("online-1", {"a0": -55.0, "a1": -60.0}))
+        enlarged = embedder.embed_new_nodes(overlay, embedding, ["online-1"])
+        assert enlarged.has_record("online-1")
+        np.testing.assert_array_equal(enlarged.record_vector("f0-0"),
+                                      old_vector)
+        assert np.isfinite(enlarged.record_vector("online-1")).all()
+        # The original embedding object is untouched.
+        assert not embedding.has_record("online-1")
 
     def test_new_record_lands_near_its_neighborhood(self, two_floor_graph):
         config = EmbeddingConfig(samples_per_edge=150.0, seed=0, dropout=0.0)
         embedder = ELINEEmbedder(config)
         embedding = embedder.fit(two_floor_graph)
-        new_record = record("online-2", {"a0": -50.0, "a1": -52.0, "a2": -54.0})
-        two_floor_graph.add_record(new_record)
-        try:
-            enlarged = embedder.embed_new_nodes(two_floor_graph, embedding,
-                                                ["online-2"])
-            vec = enlarged.record_vector("online-2")
-            f0_centroid = enlarged.record_matrix(
-                [f"f0-{i}" for i in range(8)]).mean(axis=0)
-            f1_centroid = enlarged.record_matrix(
-                [f"f1-{i}" for i in range(8)]).mean(axis=0)
-            assert np.linalg.norm(vec - f0_centroid) < np.linalg.norm(vec - f1_centroid)
-        finally:
-            two_floor_graph.remove_record("online-2")
+        overlay = GraphOverlay(two_floor_graph)
+        overlay.add_record(record("online-2", {"a0": -50.0, "a1": -52.0,
+                                               "a2": -54.0}))
+        enlarged = embedder.embed_new_nodes(overlay, embedding, ["online-2"])
+        vec = enlarged.record_vector("online-2")
+        f0_centroid = enlarged.record_matrix(
+            [f"f0-{i}" for i in range(8)]).mean(axis=0)
+        f1_centroid = enlarged.record_matrix(
+            [f"f1-{i}" for i in range(8)]).mean(axis=0)
+        assert np.linalg.norm(vec - f0_centroid) < np.linalg.norm(vec - f1_centroid)
 
     def test_embed_new_nodes_validation(self, two_floor_graph):
         embedder = ELINEEmbedder(FAST)
         embedding = embedder.fit(two_floor_graph)
+        overlay = GraphOverlay(two_floor_graph)
         with pytest.raises(ValueError):
-            embedder.embed_new_nodes(two_floor_graph, embedding, ["f0-0"])
+            embedder.embed_new_nodes(overlay, embedding, ["f0-0"])
         with pytest.raises(ValueError):
-            embedder.embed_new_nodes(two_floor_graph, embedding, ["not-there"])
+            embedder.embed_new_nodes(overlay, embedding, ["not-there"])
 
     def test_empty_new_ids_is_noop(self, two_floor_graph):
         embedder = ELINEEmbedder(FAST)
         embedding = embedder.fit(two_floor_graph)
-        assert embedder.embed_new_nodes(two_floor_graph, embedding, []) is embedding
+        assert embedder.embed_new_nodes(GraphOverlay(two_floor_graph),
+                                        embedding, []) is embedding
 
 
 class TestWarmStart:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph import BipartiteGraph, NodeKind
+from repro.core.graph import BipartiteGraph
 from repro.core.types import SignalRecord
 
 
@@ -64,7 +64,6 @@ class TestVersionCounter:
         version = graph.version
         graph.edge_arrays()
         graph.degree_array()
-        graph.incident_edge_arrays(np.array([0]))
         graph.nodes()
         assert graph.version == version
 
@@ -121,15 +120,3 @@ class TestIncrementalViewsUnderChurn:
         np.testing.assert_array_equal(sources, [m for m, _, _ in mirror])
         np.testing.assert_array_equal(targets, [r for _, r, _ in mirror])
         np.testing.assert_array_equal(weights, [w for _, _, w in mirror])
-
-        # incident_edge_arrays on a subset == mask-filtered full arrays.
-        some = [graph.get_node(NodeKind.RECORD, rid).index
-                for rid in list(live.values())[:2]]
-        wanted = np.zeros(graph.index_capacity, dtype=bool)
-        wanted[some] = True
-        keep = wanted[sources] | wanted[targets]
-        inc_sources, inc_targets, inc_weights = graph.incident_edge_arrays(
-            np.array(some))
-        np.testing.assert_array_equal(inc_sources, sources[keep])
-        np.testing.assert_array_equal(inc_targets, targets[keep])
-        np.testing.assert_array_equal(inc_weights, weights[keep])

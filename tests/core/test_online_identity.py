@@ -3,9 +3,8 @@
 Before online inference staged probes on a ``GraphOverlay``, every
 prediction mutated the shared graph: the probe record was inserted,
 embedded against the frozen model and removed again.  The reference below
-*is* that legacy implementation, re-enacted through the still-supported
-mutate-the-graph route (``BipartiteGraph.add_record`` + generic
-``embed_new_nodes``).
+*is* that legacy implementation, re-enacted with ``BipartiteGraph.add_record``
+and the legacy frozen update kept as an oracle (``kernel_oracle``).
 
 The overlay path composes its negative sampler from the base graph's
 cached table (``DeltaNegativeSampler``) instead of rebuilding it per
@@ -34,13 +33,16 @@ from __future__ import annotations
 
 import inspect
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import GRAFICS, GraficsConfig, load_model, save_model
-from repro.core.embedding import EmbeddingConfig
+from repro.core.embedding import ELINEEmbedder, EmbeddingConfig
 from repro.core.embedding import eline as eline_module
+from repro.core.embedding.kernels import ReferenceKernel
 from repro.core.embedding.trainer import (
     _SAMPLER_CACHE,
     EdgeSamplingTrainer,
@@ -49,9 +51,12 @@ from repro.core.embedding.trainer import (
 )
 from repro.core.graph import BipartiteGraph, NodeKind
 from repro.core.inference import FloorPrediction, OnlineInferenceEngine
-from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, three_story_campus_building
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import kernel_oracle  # noqa: E402
 
 CONFIG = GraficsConfig(embedding=EmbeddingConfig(samples_per_edge=40.0, seed=0),
                        allow_unreachable_clusters=True)
@@ -61,9 +66,9 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
     """The pre-overlay online path: mutate, embed, classify, restore.
 
     A faithful re-enactment of the historical ``_predict_group`` using the
-    public mutating graph API and the generic ``embed_new_nodes`` (which
-    still serves the mutated-graph case unchanged).  ``persist=True`` keeps
-    the records and installs the enlarged embedding on the model, growing a
+    public mutating graph API and the legacy frozen update
+    (``kernel_oracle.legacy_embed_new_nodes``).  ``persist=True`` keeps the
+    records and installs the enlarged embedding on the model, growing a
     consistent base for follow-up checks.
     """
     engine = model.engine
@@ -81,7 +86,8 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
         graph.add_record(record)
 
     new_ids = [record.record_id for record in records]
-    enlarged = engine.embedder.embed_new_nodes(graph, embedding, new_ids)
+    enlarged = kernel_oracle.legacy_embed_new_nodes(
+        graph, embedding, new_ids, engine.embedder.config)
 
     predictions = []
     for record in records:
@@ -138,22 +144,29 @@ def probes(campus_split):
 @pytest.fixture()
 def updates(monkeypatch):
     """The sampler inputs of every frozen online update run while the
-    fixture is active, with whether it ran on an overlay; full fits run no
-    frozen update and are not recorded."""
+    fixture is active — on an overlay or by the legacy route — with whether
+    it ran on an overlay; full fits run no frozen update and are not
+    recorded."""
     built = []
-    original = eline_module._frozen_inputs
+    overlay_inputs = eline_module._frozen_inputs
+    legacy_inputs = kernel_oracle.legacy_frozen_inputs
 
-    def recording(graph, embedding, new_record_ids):
-        inputs = original(graph, embedding, new_record_ids)
-        built.append((isinstance(graph, GraphOverlay),
-                      sampler_inputs(graph, inputs)))
+    def on_overlay(overlay):
+        edges, negatives = overlay_inputs(overlay)
+        built.append((True, sampler_inputs(overlay, edges, negatives)))
+        return edges, negatives
+
+    def on_graph(graph, embedding, new_record_ids):
+        inputs = legacy_inputs(graph, embedding, new_record_ids)
+        built.append((False, sampler_inputs(graph, *inputs[1:])))
         return inputs
 
-    monkeypatch.setattr(eline_module, "_frozen_inputs", recording)
+    monkeypatch.setattr(eline_module, "_frozen_inputs", on_overlay)
+    monkeypatch.setattr(kernel_oracle, "legacy_frozen_inputs", on_graph)
     return built
 
 
-def sampler_inputs(graph, inputs) -> tuple[bytes, ...]:
+def sampler_inputs(graph, edges, negatives) -> tuple[bytes, ...]:
     """The exact inputs of a frozen update's draws, as bytes (read at build
     time: the legacy route's graph grows retired indices afterwards).
 
@@ -162,7 +175,7 @@ def sampler_inputs(graph, inputs) -> tuple[bytes, ...]:
     graph's index space (a legacy ``NegativeSampler`` stores them compacted
     to live indices).
     """
-    _, (sources, targets, weights), negatives = inputs
+    sources, targets, weights = edges
     if hasattr(negatives, "_live"):
         probabilities = np.zeros(graph.index_capacity)
         probabilities[negatives._live] = negatives._table.probabilities
@@ -256,7 +269,7 @@ def test_floor_accuracy_parity_with_legacy_path():
     one split swings by several points on the seed alone.  The draw
     sequences differ, so individual borderline records may flip either
     way; summed over the seeds the overlay path may trail the legacy route
-    by at most three records (measured: legacy 233/270, overlay 235/270).
+    by at most three records (measured: legacy 233/270, overlay 234/270).
     """
     legacy_hits = overlay_hits = 0
     for seed in (7, 11, 13):
@@ -264,10 +277,12 @@ def test_floor_accuracy_parity_with_legacy_path():
         split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
         model = fit_campus(split)
         probes = [(r.without_floor(), r.floor) for r in split.test_records]
-        legacy_hits += sum(legacy_predict_group(model, [probe])[0].floor == floor
-                           for probe, floor in probes)
+        # Overlay first: each legacy predict retires its probe's indices,
+        # growing the graph past the embedding the overlay route freezes.
         overlay_hits += sum(model.predict(probe).floor == floor
                             for probe, floor in probes)
+        legacy_hits += sum(legacy_predict_group(model, [probe])[0].floor == floor
+                           for probe, floor in probes)
     assert overlay_hits >= legacy_hits - 3
 
 
@@ -373,6 +388,20 @@ class TestServedModelImmutable:
                        for p in parameters.values())
 
 
+def test_one_online_route_keeps_no_legacy_knob():
+    """The frozen update runs on overlays only: the mutated-graph route's
+    per-call edge budget, the kernel's trainable-row mask and the graph's
+    restricted edge view are gone."""
+    for method in (ELINEEmbedder.embed_new_nodes,
+                   ELINEEmbedder.embed_new_nodes_arrays):
+        parameters = inspect.signature(method).parameters
+        assert "samples_per_new_edge" not in parameters
+        assert all(p.kind is not p.VAR_KEYWORD for p in parameters.values())
+    assert list(inspect.signature(ReferenceKernel.__init__).parameters) == [
+        "self", "frozen_ego", "frozen_context"]
+    assert not hasattr(BipartiteGraph, "incident_edge_arrays")
+
+
 def _warm_started(split):
     previous = fit_campus(split)
     records = list(split.train_records)
@@ -395,9 +424,11 @@ def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
     """Guard for the frozen update training only staged overlay rows.
 
     A served model's embedding covers every MAC of its graph, however the
-    model was made, so a cold predict trains exactly the staged overlay
-    nodes (every index past the base capacity), and the overlay's
-    delta-only ``incident_edge_arrays`` never reads a base adjacency.
+    model was made: it has one row per base index, the boundary past which
+    the frozen-row step trains, so a cold predict trains exactly the staged
+    overlay nodes (every index past the base capacity), and its positive
+    edges, the overlay's delta-only ``incident_edge_arrays``, join a staged
+    record each and touch every staged node.
     """
     if flavour == "fitted":
         model = fit_campus(campus_split)
@@ -415,23 +446,28 @@ def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
     assert model.graph.unknown_mac_indices(model.embedding.mac_key_set()) == []
 
     trained = []
-    original = eline_module._frozen_inputs
+    original = eline_module._frozen_update
 
-    def recording(graph, embedding, new_record_ids):
-        inputs = original(graph, embedding, new_record_ids)
-        trained.append((graph.base_capacity, graph.index_capacity,
-                        inputs[0].copy()))
-        return inputs
+    def recording(overlay, embedding, config):
+        ego, context, losses = original(overlay, embedding, config)
+        sources, targets, _ = overlay.incident_edge_arrays()
+        trained.append((overlay.base_capacity, overlay.index_capacity,
+                        embedding.ego.shape[0], ego.shape[0],
+                        sources, targets))
+        return ego, context, losses
 
-    monkeypatch.setattr(eline_module, "_frozen_inputs", recording)
+    monkeypatch.setattr(eline_module, "_frozen_update", recording)
     model.predict(SignalRecord(record_id="with-fresh-mac",
                                rss={**probes[0].rss, "never-seen-mac": -70.0}))
     model.predict_batch(probes[1:4])
     model.predict_batch(probes[1:4], independent=True)
     assert len(trained) == 5
-    for base_capacity, capacity, indices in trained:
-        assert indices.size and indices.min() >= base_capacity
-        np.testing.assert_array_equal(indices,
+    for base_capacity, capacity, frozen, rows, sources, targets in trained:
+        assert frozen == base_capacity
+        assert rows == capacity - base_capacity > 0
+        assert targets.min() >= base_capacity
+        touched = np.union1d(sources, targets)
+        np.testing.assert_array_equal(touched[touched >= base_capacity],
                                       np.arange(base_capacity, capacity))
 
 

@@ -51,6 +51,19 @@ def mutated_twin(probes):
     return twin
 
 
+def assert_staged_edges_match_twin(overlay, twin):
+    """The staged edges are the twin's edges incident to a staged node,
+    kept by a mask filter over its full edge arrays, in the same order."""
+    sources, targets, weights = twin.edge_arrays()
+    staged = np.zeros(twin.index_capacity, dtype=bool)
+    staged[[node.index for node in overlay.delta_nodes()]] = True
+    keep = staged[sources] | staged[targets]
+    for arrays, twin_arrays in zip(
+            overlay.incident_edge_arrays(),
+            (sources[keep], targets[keep], weights[keep])):
+        np.testing.assert_array_equal(arrays, twin_arrays)
+
+
 def assert_same_node_indices(overlay, twin):
     """Every node of the mutated twin sits at the same index on the overlay."""
     for node in twin.nodes():
@@ -100,7 +113,7 @@ class TestStaging:
                 == graph.get_node(NodeKind.MAC, "m0").index)
         assert overlay.num_edges == graph.num_edges + 2
         assert overlay.num_nodes == graph.num_nodes + 2
-        assert [n.key for n in overlay.delta_mac_nodes()] == ["nu"]
+        assert [n.key for n in overlay.delta_nodes()] == ["p0", "nu"]
 
     def test_duplicate_record_rejected(self, graph):
         overlay = GraphOverlay(graph)
@@ -126,27 +139,7 @@ class TestComposedViews:
         for probe in probes:
             overlay.add_record(probe)
         twin = mutated_twin(probes)
-        new_indices = np.array(
-            [overlay.get_node(NodeKind.RECORD, p.record_id).index
-             for p in probes]
-            + [n.index for n in overlay.delta_mac_nodes()])
-        for arrays, twin_arrays in zip(
-                overlay.incident_edge_arrays(new_indices),
-                twin.incident_edge_arrays(new_indices)):
-            np.testing.assert_array_equal(arrays, twin_arrays)
-
-    def test_incident_edges_base_index_rejected(self, graph):
-        """A restriction may name staged nodes only: a served model's
-        embedding covers every base MAC, so no base node is ever trained."""
-        overlay = GraphOverlay(graph)
-        for probe in probe_records():
-            overlay.add_record(probe)
-        for base_index in (graph.get_node(NodeKind.RECORD, "r1").index,
-                           graph.get_node(NodeKind.MAC, "m0").index):
-            mixed = np.array([base_index,
-                              overlay.get_node(NodeKind.RECORD, "p2").index])
-            with pytest.raises(ValueError, match="base index"):
-                overlay.incident_edge_arrays(mixed)
+        assert_staged_edges_match_twin(overlay, twin)
 
 
 class TestGuardRails:
@@ -159,7 +152,7 @@ class TestGuardRails:
         with pytest.raises(StaleOverlayError):
             overlay.add_record(record("p1", {"m1": -52.0}))
         with pytest.raises(StaleOverlayError):
-            overlay.incident_edge_arrays(np.array([overlay.base_capacity]))
+            overlay.incident_edge_arrays()
 
 
 @st.composite
@@ -191,14 +184,7 @@ class TestOverlayEquivalenceProperty:
                                       twin.degree_array())
         assert_same_node_indices(overlay, twin)
         assert overlay.num_edges == twin.num_edges
-        new_indices = np.array(
-            [overlay.get_node(NodeKind.RECORD, p.record_id).index
-             for p in probes]
-            + [n.index for n in overlay.delta_mac_nodes()])
-        for arrays, twin_arrays in zip(
-                overlay.incident_edge_arrays(new_indices),
-                twin.incident_edge_arrays(new_indices)):
-            np.testing.assert_array_equal(arrays, twin_arrays)
+        assert_staged_edges_match_twin(overlay, twin)
 
 
 class TestGraphFastViews:

@@ -20,7 +20,8 @@ from repro.core.embedding.trainer import (
     ObjectiveTerms,
     clear_sampler_cache,
 )
-from repro.core.graph import NodeKind, build_graph
+from repro.core.graph import build_graph
+from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, small_test_building
 
@@ -100,8 +101,8 @@ class TestSamplerCache:
 
 
 class TestOnlineSamplerReuse:
-    """The satellite regression: embed_new_nodes at an unchanged version
-    reuses cached tables, and predictions stay byte-identical."""
+    """Frozen updates at an unchanged version reuse cached tables, and
+    predictions stay byte-identical."""
 
     @pytest.fixture()
     def fitted(self):
@@ -115,22 +116,29 @@ class TestOnlineSamplerReuse:
     def test_same_version_reuses_negative_sampler(self, fitted):
         model, probes = fitted
         graph, embedding = model.graph, model.embedding
-        for probe in probes[:2]:
-            graph.add_record(probe)
         version_before = graph.version
         embedder = ELINEEmbedder(embedding.config)
+        overlays = []
+        for probe in probes[:2]:
+            overlay = GraphOverlay(graph)
+            overlay.add_record(probe)
+            overlays.append(overlay)
 
         clear_sampler_cache()
-        enlarged_a = embedder.embed_new_nodes(graph, embedding,
-                                              [probes[0].record_id])
+        ego_a, _, _ = embedder.embed_new_nodes_arrays(
+            overlays[0], embedding, [probes[0].record_id])
         misses_after_first = _SAMPLER_CACHE.misses
-        enlarged_b = embedder.embed_new_nodes(graph, embedding,
-                                              [probes[1].record_id])
-        # Second call at the same graph version: negative sampler reused.
+        ego_b, _, _ = embedder.embed_new_nodes_arrays(
+            overlays[1], embedding, [probes[1].record_id])
+        # Second update at the same graph version: its delta sampler is
+        # composed over the cached base negative sampler.
         assert graph.version == version_before
         assert _SAMPLER_CACHE.hits >= 1
         assert _SAMPLER_CACHE.misses == misses_after_first
-        assert enlarged_a.ego.shape == enlarged_b.ego.shape
+        composed = [_SAMPLER_CACHE.delta_negative_sampler(overlay)
+                    for overlay in overlays]
+        assert composed[0]._base_sampler is composed[1]._base_sampler
+        assert ego_a.shape == ego_b.shape
 
     def test_predictions_byte_identical_with_and_without_cache(self, fitted):
         """Before/after-caching regression for the online prediction path."""
@@ -150,26 +158,6 @@ class TestOnlineSamplerReuse:
             assert a.floor == b.floor
             assert a.distance == b.distance
             np.testing.assert_array_equal(a.embedding, b.embedding)
-
-    def test_restricted_edge_arrays_match_filtered_full_scan(self, fitted):
-        """incident_edge_arrays == the mask filter it replaced, exactly."""
-        model, probes = fitted
-        graph = model.graph
-        for probe in probes:
-            graph.add_record(probe)
-        new_indices = np.array(
-            [graph.get_node(NodeKind.RECORD, p.record_id).index
-             for p in probes])
-
-        sources, targets, weights = graph.incident_edge_arrays(new_indices)
-
-        full_sources, full_targets, full_weights = graph.edge_arrays()
-        wanted = np.zeros(graph.index_capacity, dtype=bool)
-        wanted[new_indices] = True
-        keep = wanted[full_sources] | wanted[full_targets]
-        np.testing.assert_array_equal(sources, full_sources[keep])
-        np.testing.assert_array_equal(targets, full_targets[keep])
-        np.testing.assert_array_equal(weights, full_weights[keep])
 
 
 class TestCacheAccounting:

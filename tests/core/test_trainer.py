@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,10 @@ from repro.core.embedding.trainer import EdgeSamplingTrainer, ObjectiveTerms, si
 from repro.core.graph import NodeKind, build_graph
 from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import kernel_oracle  # noqa: E402
 
 
 def record(rid, rss):
@@ -143,11 +151,11 @@ class TestFrozenUpdate:
                                       monkeypatch):
         embedder, embedding = fitted
         snapshot = (embedding.ego.tobytes(), embedding.context.tobytes())
-        base = small_graph.index_capacity
+        overlay = self.staged(small_graph)
+        staged = overlay.index_capacity - overlay.base_capacity
         ego, context, _ = embedder.embed_new_nodes_arrays(
-            self.staged(small_graph), embedding, ["p0"])
-        np.testing.assert_array_equal(ego[:base], embedding.ego)
-        np.testing.assert_array_equal(context[:base], embedding.context)
+            overlay, embedding, ["p0"])
+        assert ego.shape == context.shape == (staged, embedding.dimension)
         assert (embedding.ego.tobytes(),
                 embedding.context.tobytes()) == snapshot
 
@@ -157,8 +165,7 @@ class TestFrozenUpdate:
                             lambda self, *args, **kwargs: 0.0)
         ego_init, context_init, _ = embedder.embed_new_nodes_arrays(
             self.staged(small_graph), embedding, ["p0"])
-        np.testing.assert_array_equal(ego_init[:base], ego[:base])
-        for row in range(base, ego.shape[0]):
+        for row in range(staged):
             assert not np.array_equal(ego[row], ego_init[row])
             assert not np.array_equal(context[row], context_init[row])
 
@@ -167,25 +174,49 @@ class TestFrozenUpdate:
         _, embedding = fitted
         base = small_graph.index_capacity
         overlay = self.staged(small_graph)
-        trainable, (sources, targets, _), _ = eline_module._frozen_inputs(
-            overlay, embedding, ["p0"])
+        (sources, targets, weights), _ = eline_module._frozen_inputs(overlay)
         record_index = overlay.get_node(NodeKind.RECORD, "p0").index
-        np.testing.assert_array_equal(trainable,
-                                      np.arange(base, overlay.index_capacity))
         assert sources.size == len(probe().rss)
         assert set(targets.tolist()) == {record_index}
 
-        # The mutated-graph route trains the named record plus the MACs
-        # the embedding lacks, on the same edges.
+        # The legacy mutated-graph route trains the named record plus the
+        # MACs the embedding lacks -- the staged rows -- on the same edges.
         small_graph.add_record(probe())
-        mutated_trainable, mutated_edges, _ = eline_module._frozen_inputs(
+        trainable, edges, _ = kernel_oracle.legacy_frozen_inputs(
             small_graph, embedding, ["p0"])
-        np.testing.assert_array_equal(mutated_trainable, trainable)
-        np.testing.assert_array_equal(mutated_edges[0], sources)
+        np.testing.assert_array_equal(trainable,
+                                      np.arange(base, overlay.index_capacity))
+        for arrays, legacy in zip((sources, targets, weights), edges):
+            np.testing.assert_array_equal(arrays, legacy)
 
-    def test_isolated_staged_node_rejected(self, small_graph, fitted):
+    def test_empty_overlay_rejected(self, small_graph, fitted):
         embedder, embedding = fitted
-        small_graph.add_record(record("isolated", {"gone": -50.0}))
-        small_graph.remove_mac("gone")
         with pytest.raises(ValueError, match="selects no edges"):
-            embedder.embed_new_nodes(small_graph, embedding, ["isolated"])
+            embedder.embed_new_nodes_arrays(GraphOverlay(small_graph),
+                                            embedding, [])
+
+    @pytest.mark.parametrize("rows", [-1, 1], ids=["one-too-few",
+                                                   "one-too-many"])
+    def test_embedding_must_match_base_capacity(self, small_graph, fitted,
+                                                rows):
+        """The kernel treats every index past the embedding's rows as a
+        staged row, so an embedding that does not end at the base capacity
+        is rejected instead of reading a wrong row."""
+        embedder, embedding = fitted
+        size = small_graph.index_capacity + rows
+        grown = np.zeros((max(size, embedding.ego.shape[0]),
+                          embedding.dimension))
+        grown[:embedding.ego.shape[0]] = embedding.ego
+        mismatched = replace(embedding, ego=grown[:size],
+                             context=grown[:size].copy())
+        with pytest.raises(ValueError, match="rows"):
+            embedder.embed_new_nodes_arrays(self.staged(small_graph),
+                                            mismatched, ["p0"])
+
+    def test_plain_graph_rejected(self, small_graph, fitted):
+        embedder, embedding = fitted
+        small_graph.add_record(probe())
+        for method in (embedder.embed_new_nodes,
+                       embedder.embed_new_nodes_arrays):
+            with pytest.raises(TypeError, match="GraphOverlay"):
+                method(small_graph, embedding, ["p0"])
