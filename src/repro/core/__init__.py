@@ -2,9 +2,9 @@
 
 from .clustering import ClusterModel, ClusteringResult, ProximityClustering
 from .embedding import ELINEEmbedder, EmbeddingConfig, GraphEmbedding, LINEEmbedder
-from .graph import BipartiteGraph, Edge, Node, NodeKind, build_graph
+from .graph import BipartiteGraph, Edge, Node, NodeKind, ServedGraph, build_graph
 from .inference import FloorPrediction, OnlineInferenceEngine, UnknownEnvironmentError
-from .overlay import GraphOverlay, StaleOverlayError
+from .overlay import GraphOverlay
 from .persistence import (
     load_model,
     load_registry,
@@ -37,8 +37,8 @@ __all__ = [
     "BuildingPrediction",
     "BipartiteGraph",
     "build_graph",
+    "ServedGraph",
     "GraphOverlay",
-    "StaleOverlayError",
     "Node",
     "NodeKind",
     "Edge",

@@ -102,33 +102,10 @@ class GraphEmbedding:
     mac_index: dict[str, int]
     config: EmbeddingConfig
     training_loss: list[float] = field(default_factory=list)
-    _mac_keys: frozenset[str] | None = field(default=None, init=False,
-                                             repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        """Pickle support: the cached MAC key set is derived, not state.
-
-        It is dropped and rebuilt lazily, so an embedding pickles to the
-        same bytes whether or not it has served.
-        """
-        state = self.__dict__.copy()
-        state["_mac_keys"] = None
-        return state
 
     @property
     def dimension(self) -> int:
         return int(self.ego.shape[1])
-
-    def mac_key_set(self) -> frozenset[str]:
-        """The embedded MAC vocabulary as a set, built once per embedding.
-
-        "Which graph MACs does this embedding miss?" is asked once per
-        online engine, before its first predict; caching the key set keeps
-        it a C-level set difference.
-        """
-        if self._mac_keys is None:
-            self._mac_keys = frozenset(self.mac_index)
-        return self._mac_keys
 
     def record_vector(self, record_id: str) -> np.ndarray:
         """Ego embedding of one record (the representation used downstream)."""
@@ -175,6 +152,6 @@ class GraphEmbedder(ABC):
 
     @staticmethod
     def _index_maps(graph: BipartiteGraph) -> tuple[dict[str, int], dict[str, int]]:
-        # The graph caches these per version; both are treated as
-        # read-only downstream, so sharing is safe.
+        # Fresh maps; a fit's served graph shares them with the embedding,
+        # and both treat them as read-only.
         return graph.record_index_map(), graph.mac_index_map()

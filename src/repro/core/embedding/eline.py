@@ -81,8 +81,9 @@ class ELINEEmbedder(GraphEmbedder):
         Parameters
         ----------
         overlay:
-            A :class:`~repro.core.overlay.GraphOverlay` of the graph
-            ``embedding`` was fitted on, with the new records staged.
+            A :class:`~repro.core.overlay.GraphOverlay` over the served
+            graph of the model ``embedding`` belongs to, with the new
+            records staged.
         embedding:
             The embedding learned before the new records arrived.
         new_record_ids:
@@ -124,7 +125,7 @@ class ELINEEmbedder(GraphEmbedder):
         rest with the reference kernel's frozen-row step; positive edges
         are the staged edges, drawn by inverse CDF, and negatives come from
         the noise distribution of the whole enlarged graph, composed from
-        the base graph's cached sampler and the staged delta.
+        the served graph's base sampler and the staged delta.
         ``embedding`` must have exactly one row per base index.
 
         ``losses`` holds one entry per batch: the batch's summed loss over
@@ -160,7 +161,7 @@ def _frozen_inputs(overlay: GraphOverlay,
     """What the frozen update trains on.
 
     Returns the ``(sources, targets, weights)`` arrays of the staged edges
-    and the negative sampler, which patches the version-cached base
+    and the negative sampler, which patches the served graph's base
     sampler with the staged delta.
     """
     negatives = _SAMPLER_CACHE.delta_negative_sampler(overlay)

@@ -239,7 +239,7 @@ class DeltaNegativeSampler:
     unigram-weight recompute plus an O(V) Walker pairing on *every* cold
     prediction, even though the overlay only changes a handful of degrees
     (the staged nodes and the boundary MACs they attach to).  This sampler
-    reuses the base graph's version-cached :class:`NegativeSampler` (its
+    reuses the served graph's base :class:`NegativeSampler` (its
     alias table and unigram weight vector) and builds a tiny alias table
     over only the overlay-affected indices, then samples the exact
     composed distribution ``Pr(z) ∝ d_z^power`` via a weighted two-level
@@ -388,25 +388,25 @@ class DeltaNegativeSampler:
 
 
 class SamplerCache:
-    """Reuses :class:`EdgeSampler`/:class:`NegativeSampler` per graph version.
+    """Reuses samplers: the fit's per graph version, the online per view.
 
-    Keyed weakly on the graph object and strongly on its monotonic
-    :attr:`~repro.core.graph.BipartiteGraph.version` counter: any mutation
-    bumps the version, so a cached sampler is only ever returned for the
-    exact graph state it was built from — a hit is byte-identical to a fresh
-    construction (samplers are immutable once built).  Repeated fits and
-    ablations over an *unchanged* graph reuse the alias tables instead of
-    re-running the O(V+E) builds.  Online
-    inference stages its probe records on a ``GraphOverlay`` instead of
-    mutating the graph, so the graph's version — and therefore any entry
-    cached here — survives arbitrarily many predictions.
-    An overlay (an ephemeral view, one per prediction) is never a cache
-    key itself: its negative sampler is *composed* from the base graph's
-    cached negative sampler (:meth:`delta_negative_sampler`), shrinking
-    the per-predict build to the staged delta; its positive edges are
-    drawn without an alias table.  Cold predicts therefore only read an
-    entry a fit in this process already populated; a loaded or unpickled
-    model's first cold predict adds the base negative sampler.
+    Fit samplers are keyed weakly on the graph object and strongly on its
+    monotonic :attr:`~repro.core.graph.BipartiteGraph.version` counter: any
+    mutation bumps the version, so a cached sampler is only ever returned
+    for the exact graph state it was built from — a hit is byte-identical
+    to a fresh construction (samplers are immutable once built).  Repeated
+    fits and ablations over an *unchanged* graph reuse the alias tables
+    instead of re-running the O(V+E) builds.
+
+    Online inference stages its probe records on a ``GraphOverlay`` over a
+    model's immutable ``ServedGraph``.  An overlay (an ephemeral view, one
+    per prediction) is never a cache key itself: its negative sampler is
+    *composed* from the served graph's base negative sampler
+    (:meth:`delta_negative_sampler`), shrinking the per-predict build to
+    the staged delta; its positive edges are drawn without an alias table.
+    A fit hands its negative sampler over to the served graph, so cold
+    predicts on a freshly fitted model never build one; an unpickled or
+    loaded model's first cold predict rebuilds it once.
 
     Lookups take a short global lock; sampler construction itself happens
     outside it, so concurrent builds for different graphs (sharded serving)
@@ -416,6 +416,9 @@ class SamplerCache:
 
     def __init__(self) -> None:
         self._entries: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        #: Memoised delta compositions per served graph.
+        self._delta_memos: weakref.WeakKeyDictionary = \
+            weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -476,27 +479,27 @@ class SamplerCache:
         return self._get(graph, "negative",
                          lambda: NegativeSampler(graph.degree_array()))
 
-    #: Bound on memoised delta compositions kept per base-graph version.
+    #: Bound on memoised delta compositions kept per served graph.
     #: Sized to cover a serving fleet cycling through a working set of
     #: repeated probes; overflow clears the memo (the parts it composes
     #: over stay cached, so a refill costs only the tiny delta builds).
     DELTA_MEMO_CAPACITY = 128
 
     def delta_negative_sampler(self, overlay) -> DeltaNegativeSampler:
-        """Compose the overlay's staged delta with its base's cached parts.
+        """Compose the overlay's staged delta with its served graph's sampler.
 
-        The base negative sampler (with its unigram weight vector) comes
-        from this cache (built on first use per base-graph version); only
-        the tiny delta table over the overlay-affected indices is
-        constructed per call.  Identical staged deltas (the same record
-        re-predicted, a fleet replaying a probe working set) skip even
-        that: finished
-        compositions are memoised per base-graph version, keyed by the
-        patch content, and a :class:`DeltaNegativeSampler` is immutable
-        after construction, so sharing one across predictions (and
-        threads) is exact — every draw depends only on the caller's RNG.
+        The base negative sampler (with its unigram weight vector) is the
+        one the served graph carries: handed over by the fit, or rebuilt
+        here once after an unpickle or a load; only the tiny delta table
+        over the overlay-affected indices is constructed per call.
+        Identical staged deltas (the same record re-predicted, a fleet
+        replaying a probe working set) skip even that: finished
+        compositions are memoised per served graph, keyed by the patch
+        content, and a :class:`DeltaNegativeSampler` is immutable after
+        construction, so sharing one across predictions (and threads) is
+        exact — every draw depends only on the caller's RNG.
         ``delta_sampler_hits_total`` counts compositions fully served from
-        cache (memoised or composed from the cached base sampler),
+        cache (memoised or composed over a present base sampler),
         ``delta_sampler_rebuilds_total`` those that had to (re)build the
         base sampler first.
         """
@@ -505,32 +508,37 @@ class SamplerCache:
         key = (int(overlay.index_capacity),
                indices.tobytes(), degrees.tobytes())
         with self._lock:
-            entry = self._entries.get(base)
-            if entry is not None and entry["version"] == base.version:
-                memoised = entry.get("delta", {}).get(key)
-                if memoised is not None:
-                    self.hits += 1
-                    obs.metric_increment("sampler_cache_hits_total")
-                    obs.metric_increment("delta_sampler_hits_total")
-                    return memoised
-        sampler, hit = self._get_with_state(
-            base, "negative", lambda: NegativeSampler(base.degree_array()))
+            memoised = self._delta_memos.get(base, {}).get(key)
+            if memoised is not None:
+                self.hits += 1
+                obs.metric_increment("sampler_cache_hits_total")
+                obs.metric_increment("delta_sampler_hits_total")
+                return memoised
+            sampler = base.negative_sampler
+            hit = sampler is not None
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+        obs.metric_increment("sampler_cache_hits_total" if hit
+                             else "sampler_cache_misses_total")
+        if not hit:
+            sampler = base.negative_sampler = NegativeSampler(base.degrees)
         obs.metric_increment("delta_sampler_hits_total" if hit
                              else "delta_sampler_rebuilds_total")
         composed = DeltaNegativeSampler(overlay, sampler,
                                         patch=(indices, degrees))
         with self._lock:
-            current = self._entries.get(base)
-            if current is not None and current["version"] == base.version:
-                memo = current.setdefault("delta", {})
-                if len(memo) >= self.DELTA_MEMO_CAPACITY:
-                    memo.clear()
-                memo[key] = composed
+            memo = self._delta_memos.setdefault(base, {})
+            if len(memo) >= self.DELTA_MEMO_CAPACITY:
+                memo.clear()
+            memo[key] = composed
         return composed
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._delta_memos.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0

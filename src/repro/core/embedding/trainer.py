@@ -47,7 +47,9 @@ _SAMPLER_CACHE = SamplerCache()
 
 
 def clear_sampler_cache() -> None:
-    """Drop all cached samplers (tests, and explicit memory reclamation)."""
+    """Drop all cached samplers and delta compositions (tests, and explicit
+    memory reclamation).  A served graph keeps the base negative sampler
+    it carries."""
     _SAMPLER_CACHE.clear()
 
 

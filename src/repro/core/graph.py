@@ -16,11 +16,15 @@ Nodes are identified by ``(kind, key)`` pairs externally and by dense integer
 indices internally; the dense indices are what the embedding algorithms
 operate on.  Removing a node retires its index (indices are never reused), so
 embedding matrices indexed by node index stay valid across removals.
+
+A fitted model serves from a :class:`ServedGraph` instead: the graph frozen
+after the fit, without its edges.  Embedding a new sample against the frozen
+model reads the node indices, the MAC vocabulary and the weighted degrees
+(the negative-sampling distribution), never the training edges.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +34,8 @@ import numpy as np
 from .types import FingerprintDataset, SignalRecord
 from .weighting import OffsetWeight, WeightFunction
 
-__all__ = ["NodeKind", "Node", "Edge", "BipartiteGraph", "build_graph"]
+__all__ = ["NodeKind", "Node", "Edge", "BipartiteGraph", "ServedGraph",
+           "build_graph"]
 
 
 class NodeKind(str, Enum):
@@ -78,55 +83,8 @@ class BipartiteGraph:
         self._num_edges = 0
         #: Monotonic mutation counter; bumped by every node/edge change and
         #: never reused, so ``(graph, version)`` identifies one exact graph
-        #: state.  Samplers and the array views below are cached against it.
+        #: state.  The fit's samplers are cached against it.
         self._version = 0
-        #: Weighted degrees by dense index, maintained incrementally: nodes
-        #: whose edge set changed are marked dirty and lazily recomputed with
-        #: the same ``sum(neighbors.values())`` a full rebuild would run, so
-        #: ``degree_array()`` stays bit-identical while costing O(dirty)
-        #: instead of O(V+E) per call.
-        self._degrees = np.zeros(16, dtype=np.float64)
-        self._dirty_degrees: set[int] = set()
-        #: Serialises the lazy dirty-degree flush in :meth:`degree_array`.
-        #: Mutation-free serving reads one graph from many threads without
-        #: any outer lock; if the graph still has dirty degrees at that
-        #: point (e.g. it was just rebuilt by the persistence layer), two
-        #: concurrent readers must not race the flush.  Mutations
-        #: themselves are not covered — a graph is never mutated while
-        #: being served (the overlay path exists precisely for that).
-        self._degree_flush_lock = threading.Lock()
-        #: Version-keyed caches of the index maps and the MAC vocabulary.
-        #: The cached containers are never mutated in place — a version bump
-        #: builds fresh ones — so handing them out by reference is safe as
-        #: long as callers treat them as read-only (they all do: the maps
-        #: feed lookups and set operations, never item assignment).
-        self._record_map_cache: tuple[int, dict[str, int]] | None = None
-        self._mac_map_cache: tuple[int, dict[str, int]] | None = None
-        self._mac_vocabulary_cache: tuple[int, frozenset[str]] | None = None
-
-    # ------------------------------------------------------------------ pickling
-    def __getstate__(self) -> dict:
-        """Pickle support: only the graph's content is state.
-
-        A pickled graph is the serialization seam of the compute-pool /
-        process-per-shard path: read-only model snapshots ship to worker
-        processes once per generation.  The content round-trips by value
-        (arrays, adjacency dicts, version counter), so the restored graph
-        is bit-identical to the source.  The flush lock is process-local,
-        and the version-keyed index-map and vocabulary caches are derived:
-        they are dropped and rebuilt lazily, so a graph pickles to the same
-        bytes whether or not it has served.
-        """
-        state = self.__dict__.copy()
-        state["_degree_flush_lock"] = None
-        state["_record_map_cache"] = None
-        state["_mac_map_cache"] = None
-        state["_mac_vocabulary_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._degree_flush_lock = threading.Lock()
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -194,12 +152,6 @@ class BipartiteGraph:
         self._nodes[(kind, key)] = node
         self._nodes_by_index[node.index] = node
         self._adjacency[node.index] = {}
-        if node.index >= self._degrees.size:
-            grown = np.zeros(max(self._degrees.size * 2, node.index + 1),
-                             dtype=np.float64)
-            grown[:self._degrees.size] = self._degrees
-            self._degrees = grown
-        self._degrees[node.index] = 0.0
         self._version += 1
         return node
 
@@ -261,12 +213,9 @@ class BipartiteGraph:
             del self._adjacency[neighbor_index][node.index]
             self._total_weight -= weight
             self._num_edges -= 1
-            self._dirty_degrees.add(neighbor_index)
         del self._adjacency[node.index]
         del self._nodes[(node.kind, node.key)]
         del self._nodes_by_index[node.index]
-        self._degrees[node.index] = 0.0
-        self._dirty_degrees.discard(node.index)
         self._version += 1
 
     # ------------------------------------------------------------------ edges
@@ -279,8 +228,6 @@ class BipartiteGraph:
         self._adjacency[mac_index][record_index] = weight
         self._adjacency[record_index][mac_index] = weight
         self._total_weight += weight
-        self._dirty_degrees.add(mac_index)
-        self._dirty_degrees.add(record_index)
         self._version += 1
 
     @property
@@ -354,86 +301,43 @@ class BipartiteGraph:
                 np.concatenate(target_chunks),
                 np.concatenate(weight_chunks))
 
-    def _flush_degrees(self) -> None:
-        if self._dirty_degrees:
-            # The unlocked truthiness peek keeps the clean (serving) case
-            # lock-free; the flush itself is serialised so concurrent
-            # readers of a just-rebuilt graph cannot race the iteration.
-            with self._degree_flush_lock:
-                for index in self._dirty_degrees:
-                    neighbors = self._adjacency.get(index)
-                    if neighbors is not None:
-                        self._degrees[index] = sum(neighbors.values())
-                self._dirty_degrees.clear()
-
     def degree_array(self) -> np.ndarray:
         """Weighted degrees indexed by dense node index (zeros for retired indices)."""
-        self._flush_degrees()
-        return self._degrees[:self.index_capacity].copy()
-
-    def degrees_at(self, indices: np.ndarray) -> np.ndarray:
-        """Weighted degrees at the given dense indices (a fresh small array).
-
-        The same values :meth:`degree_array` reports at those positions,
-        without the O(V) copy — the delta-composed negative sampler reads a
-        handful of boundary-MAC degrees per prediction.
-        """
-        self._flush_degrees()
-        return self._degrees[np.asarray(indices, dtype=np.int64)]
+        degrees = np.zeros(self._next_index, dtype=np.float64)
+        for index, neighbors in self._adjacency.items():
+            degrees[index] = sum(neighbors.values())
+        return degrees
 
     def record_index_map(self) -> dict[str, int]:
-        """Mapping record id -> dense node index for all live record nodes.
-
-        Cached per :attr:`version`; treat the returned dict as read-only
-        (mutations would corrupt the shared cache entry).
-        """
-        cached = self._record_map_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        mapping = {node.key: node.index for node in self.record_nodes()}
-        self._record_map_cache = (self._version, mapping)
-        return mapping
+        """Mapping record id -> dense node index for all live record nodes."""
+        return {node.key: node.index for node in self.record_nodes()}
 
     def mac_index_map(self) -> dict[str, int]:
-        """Mapping MAC address -> dense node index for all live MAC nodes.
-
-        Cached per :attr:`version`; treat the returned dict as read-only.
-        """
-        cached = self._mac_map_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        mapping = {node.key: node.index for node in self.mac_nodes()}
-        self._mac_map_cache = (self._version, mapping)
-        return mapping
+        """Mapping MAC address -> dense node index for all live MAC nodes."""
+        return {node.key: node.index for node in self.mac_nodes()}
 
     def mac_vocabulary(self) -> frozenset[str]:
-        """The set of live MAC addresses, cached per :attr:`version`.
+        """The set of live MAC addresses."""
+        return frozenset(self.mac_index_map())
 
-        This is the view the online unknown-environment check and building
-        attribution need; caching it means a read-mostly serving path never
-        rebuilds an O(|vocabulary|) set per prediction.
+    def freeze(self, record_index: dict[str, int] | None = None,
+               mac_index: dict[str, int] | None = None,
+               negative_sampler=None) -> ServedGraph:
+        """This graph's current state as an immutable :class:`ServedGraph`.
+
+        ``record_index``/``mac_index`` let a fit hand over the maps its
+        embedding already holds (they must equal this graph's maps), so
+        the view and the embedding share them; by default fresh maps are
+        built.  ``negative_sampler`` hands over a :class:`NegativeSampler`
+        already built over :meth:`degree_array`.
         """
-        cached = self._mac_vocabulary_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        vocabulary = frozenset(self.mac_index_map())
-        self._mac_vocabulary_cache = (self._version, vocabulary)
-        return vocabulary
-
-    def unknown_mac_indices(self, known: frozenset[str] | set[str]) -> list[int]:
-        """Dense indices of live MAC nodes whose key is not in ``known``.
-
-        Used by the incremental embedder to find MAC nodes that an existing
-        embedding does not cover.  The set difference runs over the cached
-        vocabulary, so the common serving case (every MAC already embedded)
-        costs one C-level set difference instead of a Python sweep over all
-        MAC nodes.
-        """
-        unknown = self.mac_vocabulary() - known
-        if not unknown:
-            return []
-        mac_map = self.mac_index_map()
-        return [mac_map[key] for key in unknown]
+        return ServedGraph(
+            record_index=(self.record_index_map() if record_index is None
+                          else record_index),
+            mac_index=self.mac_index_map() if mac_index is None else mac_index,
+            degrees=self.degree_array(), num_edges=self._num_edges,
+            weight_function=self.weight_function,
+            negative_sampler=negative_sampler)
 
     # ------------------------------------------------------------------ misc
     def connected_components(self) -> list[set[int]]:
@@ -467,6 +371,99 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BipartiteGraph(macs={self.num_macs}, records={self.num_records}, "
+                f"edges={self.num_edges})")
+
+
+class ServedGraph:
+    """The immutable graph a fitted model serves from (no adjacency).
+
+    Holds exactly what online inference reads: the record and MAC
+    key→index maps, the weighted-degree vector (its length is the index
+    capacity), the edge count and the weight function.  A fit builds it
+    with :meth:`BipartiteGraph.freeze` from the maps its embedding holds,
+    so the two share them; a loaded model file builds it from the saved
+    maps and degrees.  Nothing mutates it: new samples are staged on a
+    :class:`~repro.core.overlay.GraphOverlay` over it.
+
+    It also carries the base :class:`NegativeSampler` over its degrees,
+    which a fit hands over from its own sampler cache entry.  The sampler
+    and the MAC vocabulary set are derived: they are dropped on pickling,
+    so a view pickles to the same bytes whether or not it has served, and
+    rebuilt on first use.
+    """
+
+    def __init__(self, record_index: dict[str, int], mac_index: dict[str, int],
+                 degrees: np.ndarray, num_edges: int,
+                 weight_function: WeightFunction, negative_sampler=None) -> None:
+        self._record_index = record_index
+        self._mac_index = mac_index
+        self.degrees = np.array(degrees, dtype=np.float64)
+        self.degrees.setflags(write=False)
+        self.num_edges = int(num_edges)
+        self.weight_function = weight_function
+        #: The base noise sampler; ``None`` until the sampler cache rebuilds
+        #: it after an unpickle or a load.
+        self.negative_sampler = negative_sampler
+        self._vocabulary: frozenset[str] | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["negative_sampler"] = None
+        state["_vocabulary"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.degrees.setflags(write=False)
+
+    @property
+    def num_records(self) -> int:
+        return len(self._record_index)
+
+    @property
+    def num_macs(self) -> int:
+        return len(self._mac_index)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._record_index) + len(self._mac_index)
+
+    @property
+    def index_capacity(self) -> int:
+        return self.degrees.size
+
+    def has_node(self, kind: NodeKind, key: str) -> bool:
+        return key in self._index_map(kind)
+
+    def get_node(self, kind: NodeKind, key: str) -> Node:
+        try:
+            return Node(kind=kind, key=key, index=self._index_map(kind)[key])
+        except KeyError:
+            raise KeyError(f"no {kind.value} node with key {key!r}") from None
+
+    def _index_map(self, kind: NodeKind) -> dict[str, int]:
+        return self._record_index if kind is NodeKind.RECORD else self._mac_index
+
+    def record_index_map(self) -> dict[str, int]:
+        """Record id -> dense index; shared, treat it as read-only."""
+        return self._record_index
+
+    def mac_index_map(self) -> dict[str, int]:
+        """MAC address -> dense index; shared, treat it as read-only."""
+        return self._mac_index
+
+    def mac_vocabulary(self) -> frozenset[str]:
+        """The MAC addresses, as a set built once per view."""
+        if self._vocabulary is None:
+            self._vocabulary = frozenset(self._mac_index)
+        return self._vocabulary
+
+    def degree_array(self) -> np.ndarray:
+        """A writable copy of :attr:`degrees`."""
+        return self.degrees.copy()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ServedGraph(macs={self.num_macs}, records={self.num_records}, "
                 f"edges={self.num_edges})")
 
 

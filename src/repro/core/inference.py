@@ -3,9 +3,10 @@
 Given a trained graph, embedding and cluster model, the
 :class:`OnlineInferenceEngine` handles newly arriving RF samples:
 
-1. the sample is staged as a new record node on a read-only
-   :class:`~repro.core.overlay.GraphOverlay` of the training graph (new MAC
-   nodes are staged on demand) — the shared graph itself is not touched;
+1. the sample is staged as a new record node on a
+   :class:`~repro.core.overlay.GraphOverlay` over the model's immutable
+   :class:`~repro.core.graph.ServedGraph` (new MAC nodes are staged on
+   demand);
 2. its ego/context embeddings are trained against the overlay while every
    previously learned embedding stays frozen
    (:meth:`ELINEEmbedder.embed_new_nodes_arrays`, which trains exactly the
@@ -14,18 +15,16 @@ Given a trained graph, embedding and cluster model, the
    nearest in the ego embedding space.
 
 Inference is therefore *mutation-free*: a served model is immutable.  A
-prediction writes neither the graph nor the embedding, so the graph's
-version counter (and every cache keyed on it) survives arbitrarily many
-predictions, concurrent predictions against one model need no mutual
-exclusion, and a pickled twin serves the same bytes (test-enforced).
-The overlay is the only online route: the frozen update trains on the
-staged edges and a negative sampler composed from the base graph's cached
-table, whose inputs equal a full rebuild over the enlarged graph bit for
-bit (test-enforced against the historical mutate-the-graph route, which
-the test suite keeps as an oracle) while its draw sequence differs.
-Training only the staged rows is exact because a served model's
-embedding covers every MAC of its graph; each engine checks that once, on
-its first predict.
+prediction writes neither the graph nor the embedding, so concurrent
+predictions against one model need no mutual exclusion, and a pickled
+twin serves the same bytes (test-enforced).  The overlay is the only
+online route: the frozen update trains on the staged edges and a negative
+sampler composed from the served graph's base table, whose inputs equal a
+full rebuild over the enlarged graph bit for bit (test-enforced against
+the historical mutate-the-graph route, which the test suite keeps as an
+oracle) while its draw sequence differs.  Training only the staged rows
+is exact because the served graph's index maps are the embedding's own:
+every base node has an embedding row.
 
 A sample whose MAC addresses are *all* unseen carries no information that
 connects it to the building; the paper discards such samples as likely
@@ -44,7 +43,7 @@ from ..obs import runtime as obs
 from .clustering.model import ClusterModel
 from .embedding.base import GraphEmbedding
 from .embedding.eline import ELINEEmbedder
-from .graph import BipartiteGraph, NodeKind
+from .graph import NodeKind, ServedGraph
 from .overlay import GraphOverlay
 from .types import SignalRecord
 
@@ -71,43 +70,24 @@ class OnlineInferenceEngine:
     Parameters
     ----------
     graph:
-        The training bipartite graph.  The engine never mutates it:
-        predictions are staged on a read-only overlay, so the graph's
-        version counter — and every sampler/vocabulary cache keyed on it —
-        survives arbitrarily many predictions.
+        The model's served graph (the training graph frozen without its
+        edges); predictions are staged on an overlay over it.
     embedding:
-        The embedding trained offline over ``graph``; never mutated.
+        The embedding trained offline, with one row per index of
+        ``graph``; never mutated.
     cluster_model:
         The nearest-centroid floor classifier from the offline clustering.
     embedder:
         The embedder used for the incremental (frozen) embedding step.
     """
 
-    def __init__(self, graph: BipartiteGraph, embedding: GraphEmbedding,
+    def __init__(self, graph: ServedGraph, embedding: GraphEmbedding,
                  cluster_model: ClusterModel,
                  embedder: ELINEEmbedder | None = None) -> None:
         self.graph = graph
         self.embedding = embedding
         self.cluster_model = cluster_model
         self.embedder = embedder or ELINEEmbedder(embedding.config)
-        self._covered = False
-
-    def _check_coverage(self) -> None:
-        """Check once that the embedding covers every MAC of the graph.
-
-        The frozen update on an overlay trains only the staged rows; that is
-        the objective of the mutated graph only while no base MAC lacks an
-        embedding row.  A fitted, pickled, loaded or warm-started model
-        always satisfies this, and a served model is immutable, so one check
-        per engine replaces a per-predict vocabulary difference.
-        """
-        unknown = self.graph.unknown_mac_indices(self.embedding.mac_key_set())
-        if unknown:
-            raise ValueError(
-                f"embedding lacks base index {min(unknown)}; an overlay "
-                "trains only staged nodes (indices >= "
-                f"{self.graph.index_capacity})")
-        self._covered = True
 
     # -------------------------------------------------------------- inference
     def predict(self, record: SignalRecord) -> FloorPrediction:
@@ -158,8 +138,6 @@ class OnlineInferenceEngine:
         with obs.span("online.predict") as predict_span:
             predict_span.set("records", len(records))
             with obs.span("online.stage"):
-                if not self._covered:
-                    self._check_coverage()
                 known_macs = self.graph.mac_vocabulary()
                 for record in records:
                     if self.graph.has_node(NodeKind.RECORD, record.record_id):

@@ -1,59 +1,52 @@
-"""Read-only delta views over a frozen bipartite graph.
+"""Read-only delta views over a served graph.
 
 The paper's online phase (Section V-A) embeds every new RF sample against
 the *frozen* trained model: the sample is conceptually appended to the
-bipartite graph, embedded, classified — and forgotten again.  Implementing
-that literally (mutate the shared graph, predict, undo the mutation) makes
-read-mostly serving traffic pay for graph churn it immediately reverts:
-every prediction bumps :attr:`BipartiteGraph.version` (evicting the sampler
-cache), dirties the degree array and must hold the serving write lock.
+bipartite graph, embedded, classified — and forgotten again.
 
-:class:`GraphOverlay` gives the online path the same enlarged-graph view
-without touching the base graph.  Staged records (and the MAC nodes they
-introduce) are allocated dense indices *past* the base graph's
-``index_capacity``, and every composed view — the staged edges, the
-weighted degree array, node lookups — is built from base + delta exactly as
-a graph with the records added would have built it, bit for bit
-(test-enforced).  The frozen online update, which runs on overlays only,
-therefore optimises the objective of that enlarged graph: its positive
-edges are the staged edges, and its negative sampler is composed from the
-base graph's cached table with per-index probabilities equal to a full
-rebuild's.
+:class:`GraphOverlay` gives the online path that enlarged-graph view over
+the model's immutable :class:`~repro.core.graph.ServedGraph`.  Staged
+records (and the MAC nodes they introduce) are allocated dense indices
+*past* the served graph's ``index_capacity``, and every composed view — the
+staged edges, the weighted degree array, node lookups — is built from base
++ delta exactly as the training graph with the records added would have
+built it, bit for bit (test-enforced).  The frozen online update, which
+runs on overlays only, therefore optimises the objective of that enlarged
+graph: its positive edges are the staged edges, and its negative sampler
+is composed from the served graph's base sampler with per-index
+probabilities equal to a full rebuild's.
 
-Nothing staged on an overlay is ever written back to the base.  An
-overlay is a short-lived, single-threaded view.  It pins the base graph's
-version at construction and refuses to operate once the base has been
-mutated underneath it (:class:`StaleOverlayError`); concurrent readers each
-build their own overlay over the shared immutable base.
+Nothing staged on an overlay is ever written back, and the served graph
+cannot change underneath it.  An overlay is a short-lived, single-threaded
+view; concurrent readers each build their own over the shared base.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import BipartiteGraph, Node, NodeKind
+from .graph import Node, NodeKind, ServedGraph
 from .types import SignalRecord
 
-__all__ = ["StaleOverlayError", "GraphOverlay"]
-
-
-class StaleOverlayError(RuntimeError):
-    """Raised when an overlay is used after its base graph was mutated."""
+__all__ = ["GraphOverlay"]
 
 
 class GraphOverlay:
-    """A bipartite-graph delta view: base graph + staged records, no mutation.
+    """A bipartite-graph delta view: served graph + staged records.
 
-    Duck-types the subset of :class:`BipartiteGraph` the cold online path
-    reads (``index_capacity``, ``num_edges``, node lookups,
-    ``degree_array``) and adds the staged views the frozen update trains
-    on (``incident_edge_arrays``, ``delta_degree_patch``), with every view
+    Reads like the training graph with the records added
+    (``index_capacity``, ``num_edges``, node lookups, ``degree_array``)
+    and adds the staged views the frozen update trains on
+    (``incident_edge_arrays``, ``delta_degree_patch``), with every view
     composed from the immutable base and the overlay's private delta.
     """
 
-    def __init__(self, base: BipartiteGraph) -> None:
+    def __init__(self, base: ServedGraph) -> None:
+        if not isinstance(base, ServedGraph):
+            raise TypeError("an overlay stages records over a ServedGraph "
+                            f"(BipartiteGraph.freeze()), not a "
+                            f"{type(base).__name__}")
         self.base = base
-        self._base_version = base.version
         self._base_capacity = base.index_capacity
         self._next_index = base.index_capacity
         self._delta_nodes: dict[tuple[NodeKind, str], Node] = {}
@@ -63,13 +56,6 @@ class GraphOverlay:
         #: latter the mapping holds only the delta part.
         self._delta_adjacency: dict[int, dict[int, float]] = {}
         self._delta_edges = 0
-
-    # ------------------------------------------------------------ guard rails
-    def _check_live(self) -> None:
-        if self.base.version != self._base_version:
-            raise StaleOverlayError(
-                "base graph was mutated since this overlay was created; the "
-                "composed views are no longer valid")
 
     # ---------------------------------------------------------------- lookups
     @property
@@ -83,7 +69,7 @@ class GraphOverlay:
 
     @property
     def base_capacity(self) -> int:
-        """The base graph's index capacity; delta indices start here."""
+        """The served graph's index capacity; delta indices start here."""
         return self._base_capacity
 
     @property
@@ -114,24 +100,24 @@ class GraphOverlay:
 
         Mirrors :meth:`BipartiteGraph.add_record` exactly — same index
         allocation order (record node first, then unseen MACs in RSS order),
-        same weight validation — without touching the base graph.
+        same weight validation — without touching the served graph.
         """
-        self._check_live()
         key = record.record_id
         if self.has_node(NodeKind.RECORD, key):
             raise ValueError(f"record {key!r} is already in the graph")
         record_node = self._add_delta_node(NodeKind.RECORD, key)
+        base_macs = self.base.mac_index_map()
         for mac, rss in record.rss.items():
-            mac_node = self._delta_nodes.get((NodeKind.MAC, mac))
-            if mac_node is None:
-                if self.base.has_node(NodeKind.MAC, mac):
-                    mac_node = self.base.get_node(NodeKind.MAC, mac)
-                else:
+            mac_index = base_macs.get(mac)
+            if mac_index is None:
+                mac_node = self._delta_nodes.get((NodeKind.MAC, mac))
+                if mac_node is None:
                     mac_node = self._add_delta_node(NodeKind.MAC, mac)
+                mac_index = mac_node.index
             weight = self.weight_function.validate(rss)
-            self._delta_adjacency.setdefault(mac_node.index, {})[
+            self._delta_adjacency.setdefault(mac_index, {})[
                 record_node.index] = weight
-            self._delta_adjacency[record_node.index][mac_node.index] = weight
+            self._delta_adjacency[record_node.index][mac_index] = weight
             self._delta_edges += 1
         return record_node
 
@@ -145,16 +131,15 @@ class GraphOverlay:
 
     # ------------------------------------------------------------ array views
     def degree_array(self) -> np.ndarray:
-        """Weighted degrees over base + delta, bit-identical to a mutated base.
+        """Weighted degrees over base + delta, bit-identical to a mutated graph.
 
-        The base graph recomputes a touched node's degree as a left fold of
+        A graph computes a node's degree as a left fold of
         ``sum(neighbors.values())``; the composed value here continues the
-        same fold from the base degree (the fold's prefix), so every entry
-        matches the mutated graph's recompute bit for bit.
+        same fold from the served degree (the fold's prefix), so every entry
+        matches the mutated graph's bit for bit.
         """
-        self._check_live()
         degrees = np.empty(self._next_index, dtype=np.float64)
-        degrees[:self._base_capacity] = self.base.degree_array()
+        degrees[:self._base_capacity] = self.base.degrees
         degrees[self._base_capacity:] = 0.0
         for index, neighbors in self._delta_adjacency.items():
             if not neighbors:
@@ -174,16 +159,15 @@ class GraphOverlay:
         same left fold :meth:`degree_array` uses so each entry matches the
         full composed array bit for bit.  O(delta), never materialises the
         base degree array; this is what :class:`DeltaNegativeSampler`
-        patches the cached base noise distribution with.
+        patches the served graph's base noise distribution with.
         """
-        self._check_live()
         touched = sorted(index for index, neighbors
                          in self._delta_adjacency.items() if neighbors)
         indices = np.asarray(touched, dtype=np.int64)
         degrees = np.zeros(len(touched), dtype=np.float64)
         boundary = indices < self._base_capacity
         if boundary.any():
-            degrees[boundary] = self.base.degrees_at(indices[boundary])
+            degrees[boundary] = self.base.degrees[indices[boundary]]
         for position, index in enumerate(touched):
             value = degrees[position]
             for weight in self._delta_adjacency[index].values():
@@ -202,7 +186,6 @@ class GraphOverlay:
         delta is walked: O(staged edges), independent of both |E| and the
         degree of the touched MACs.
         """
-        self._check_live()
         source_chunks: list[int] = []
         target_chunks: list[int] = []
         weight_chunks: list[float] = []

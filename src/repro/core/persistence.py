@@ -4,16 +4,21 @@ A deployed floor-identification service trains offline (possibly on a beefy
 machine) and serves online inference elsewhere, so the trained state must be
 serialisable.  A GRAFICS model is fully described by:
 
-* the bipartite graph's record/MAC vocabulary and weighted edges (needed to
-  embed new samples against the frozen embeddings),
+* its served graph: the record/MAC index maps, the weighted degrees (the
+  negative-sampling distribution new samples are embedded against) and the
+  edge count — the training edges themselves are never read again,
 * the ego/context embedding matrices,
 * the trained clusters (members, floor labels, centroids),
 * the configuration (embedding hyperparameters and weight function).
 
-The on-disk format is a single ``.npz`` file holding the numeric arrays plus
-a JSON blob for the structured metadata.  Only the weight functions shipped
-with the library can be restored by name; custom weight functions require the
-caller to rebuild the configuration manually after loading.
+The on-disk format (version 2) is a single ``.npz`` file holding the numeric
+arrays (``ego``, ``context``, ``centroids``, ``degrees``) plus a JSON blob
+for the structured metadata.  Version-1 files stored every edge as a JSON
+``[mac, record, weight]`` triple instead of the degrees; they still load:
+the graph is rebuilt from the triples and then frozen.  Only the weight
+functions shipped with the library can be restored by name; custom weight
+functions require the caller to rebuild the configuration manually after
+loading.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from ..faults import failpoints
 from .clustering.hierarchical import ClusteringResult
 from .clustering.model import ClusterModel, FloorCluster
 from .embedding.base import EmbeddingConfig, GraphEmbedding
-from .graph import BipartiteGraph, NodeKind
+from .graph import BipartiteGraph, NodeKind, ServedGraph
 from .pipeline import GRAFICS, GraficsConfig
 from .registry import MultiBuildingFloorService
 from .types import SignalRecord
@@ -53,7 +58,7 @@ __all__ = [
     "grafics_config_from_payload",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _REGISTRY_FORMAT_VERSION = 1
 _REGISTRY_MANIFEST = "manifest.json"
 _STREAM_STATE_VERSION = 1
@@ -63,11 +68,13 @@ class CheckpointCorruptError(ValueError):
     """A checkpoint payload failed its integrity check.
 
     Raised when a stream-state or model file is truncated, unparseable,
-    fails its stored SHA-256 digest, or (a model file) has an edge list
-    naming a node its index maps lack — i.e. the bytes on disk are not a
-    state a writer could serve.  Distinct from :class:`FileNotFoundError`
-    (nothing was ever written there) and from plain :class:`ValueError`
-    version mismatches (a well-formed file from an incompatible writer):
+    fails its stored SHA-256 digest, or (a model file) has parts that
+    disagree — a degree vector or embedding that does not span its index
+    maps, or a version-1 edge list naming a node the maps lack — i.e. the
+    bytes on disk are not a state a writer could serve.  Distinct from
+    :class:`FileNotFoundError` (nothing was ever written there) and from
+    plain :class:`ValueError` version mismatches (a well-formed file from
+    an incompatible writer):
     corruption is the one case where falling back to the retained
     previous-generation checkpoint is the right move, and ``resume()``
     keys that decision off this type.
@@ -176,20 +183,13 @@ def save_model(model: GRAFICS, path: str | Path) -> None:
     if not model.is_fitted:
         raise ValueError("cannot save an unfitted GRAFICS model")
     path = Path(path)
-    graph = model.graph
-
-    edges = [[graph.node_at(edge.mac_index).key,
-              graph.node_at(edge.record_index).key,
-              edge.weight]
-             for edge in graph.edges()]
-
     clustering = model.clustering
     metadata = {
         "format_version": _FORMAT_VERSION,
         "config": grafics_config_to_payload(model.config),
         "record_index": model.embedding.record_index,
         "mac_index": model.embedding.mac_index,
-        "edges": edges,
+        "num_edges": model.graph.num_edges,
         "clusters": [
             {
                 "cluster_id": cluster.cluster_id,
@@ -209,6 +209,7 @@ def save_model(model: GRAFICS, path: str | Path) -> None:
         ego=model.embedding.ego,
         context=model.embedding.context,
         centroids=centroids,
+        degrees=model.graph.degrees,
         metadata=np.frombuffer(json.dumps(metadata).encode("utf-8"),
                                dtype=np.uint8),
     )
@@ -217,7 +218,7 @@ def save_model(model: GRAFICS, path: str | Path) -> None:
 def _rebuild_graph(edges: list, weight_function: WeightFunction,
                    record_index: dict | None = None,
                    mac_index: dict | None = None) -> BipartiteGraph:
-    """Reconstruct the bipartite graph with the stored edge weights.
+    """Reconstruct a version-1 file's bipartite graph from its edge triples.
 
     When the saved node→row maps are given and contiguous (always true for
     graphs built by ``GRAFICS.fit``), nodes are recreated in their original
@@ -259,44 +260,42 @@ def _rebuild_graph(edges: list, weight_function: WeightFunction,
     return graph
 
 
-def load_model(path: str | Path) -> GRAFICS:
-    """Restore a GRAFICS model saved with :func:`save_model`.
-
-    The returned model supports online inference (``predict`` /
-    ``predict_batch``) exactly like the freshly trained one.
-    """
-    path = Path(path)
-    failpoints.fire("checkpoint.read", path=path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            ego = archive["ego"]
-            context = archive["context"]
-            centroids = archive["centroids"]
-            metadata = json.loads(
-                bytes(archive["metadata"].tobytes()).decode("utf-8"))
-    except FileNotFoundError:
-        raise  # missing is not corrupt; callers distinguish the two
-    except (zipfile.BadZipFile, ValueError, KeyError, OSError,
-            EOFError) as error:
-        # A torn or bit-flipped npz surfaces as whatever layer noticed
-        # first (zip directory, array header, metadata JSON); normalise to
-        # the typed error recovery paths key on.
+def _load_served_graph(path: Path, metadata: dict, ego: np.ndarray,
+                       context: np.ndarray, degrees: np.ndarray | None,
+                       config: GraficsConfig,
+                       ) -> tuple[ServedGraph, GraphEmbedding]:
+    """A version-2 file's served graph and embedding, which share the maps."""
+    record_index = metadata["record_index"]
+    mac_index = metadata["mac_index"]
+    capacity = len(record_index) + len(mac_index)
+    num_edges = metadata.get("num_edges")
+    if degrees is None or not isinstance(num_edges, int):
         raise CheckpointCorruptError(
-            f"model file {path} is corrupt or truncated: {error}") from error
+            f"model file {path} lacks its degrees array or edge count")
+    rows = sorted([*record_index.values(), *mac_index.values()])
+    if (rows != list(range(capacity)) or degrees.shape != (capacity,)
+            or ego.shape[0] != capacity or context.shape != ego.shape):
+        raise CheckpointCorruptError(
+            f"model file {path} is inconsistent: its degrees "
+            f"{degrees.shape} and embedding {ego.shape} do not span the "
+            f"{capacity} indices of its saved index maps")
+    graph = ServedGraph(record_index, mac_index, degrees, num_edges,
+                        config.weight_function)
+    embedding = GraphEmbedding(ego=ego, context=context,
+                               record_index=record_index, mac_index=mac_index,
+                               config=config.embedding)
+    return graph, embedding
 
-    if metadata.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version "
-                         f"{metadata.get('format_version')!r}")
 
-    config = grafics_config_from_payload(metadata["config"])
-    embedding_config = config.embedding
-
+def _load_edge_triples(path: Path, metadata: dict, ego: np.ndarray,
+                       context: np.ndarray, config: GraficsConfig,
+                       ) -> tuple[ServedGraph, GraphEmbedding]:
+    """A version-1 file's graph, rebuilt from its edge triples and frozen."""
     old_record_index = metadata["record_index"]
     old_mac_index = metadata["mac_index"]
-    edges = metadata["edges"]
     dim = ego.shape[1]
     try:
-        graph = _rebuild_graph(edges, config.weight_function,
+        graph = _rebuild_graph(metadata["edges"], config.weight_function,
                                record_index=old_record_index,
                                mac_index=old_mac_index)
 
@@ -325,7 +324,49 @@ def load_model(path: str | Path) -> GRAFICS:
 
     embedding = GraphEmbedding(ego=new_ego, context=new_context,
                                record_index=record_index, mac_index=mac_index,
-                               config=embedding_config)
+                               config=config.embedding)
+    return graph.freeze(record_index, mac_index), embedding
+
+
+def load_model(path: str | Path) -> GRAFICS:
+    """Restore a GRAFICS model saved with :func:`save_model`.
+
+    Reads format-2 files and legacy format-1 ones (edge triples).  The
+    returned model supports online inference (``predict`` /
+    ``predict_batch``) exactly like the freshly trained one.
+    """
+    path = Path(path)
+    failpoints.fire("checkpoint.read", path=path)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            ego = archive["ego"]
+            context = archive["context"]
+            centroids = archive["centroids"]
+            degrees = (archive["degrees"] if "degrees" in archive.files
+                       else None)
+            metadata = json.loads(
+                bytes(archive["metadata"].tobytes()).decode("utf-8"))
+    except FileNotFoundError:
+        raise  # missing is not corrupt; callers distinguish the two
+    except (zipfile.BadZipFile, ValueError, KeyError, OSError,
+            EOFError) as error:
+        # A torn or bit-flipped npz surfaces as whatever layer noticed
+        # first (zip directory, array header, metadata JSON); normalise to
+        # the typed error recovery paths key on.
+        raise CheckpointCorruptError(
+            f"model file {path} is corrupt or truncated: {error}") from error
+
+    version = metadata.get("format_version")
+    if version not in (1, _FORMAT_VERSION):
+        raise ValueError(f"unsupported model format version {version!r}")
+
+    config = grafics_config_from_payload(metadata["config"])
+    if version == 1:
+        graph, embedding = _load_edge_triples(path, metadata, ego, context,
+                                              config)
+    else:
+        graph, embedding = _load_served_graph(path, metadata, ego, context,
+                                              degrees, config)
 
     clusters = [FloorCluster(cluster_id=int(blob["cluster_id"]),
                              floor=int(blob["floor"]),

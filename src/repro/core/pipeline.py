@@ -32,7 +32,8 @@ from .clustering.model import ClusterModel
 from .embedding.base import EmbeddingConfig, GraphEmbedding
 from .embedding.eline import ELINEEmbedder
 from .embedding.line import LINEEmbedder
-from .graph import BipartiteGraph, build_graph
+from .embedding.trainer import _SAMPLER_CACHE
+from .graph import ServedGraph, build_graph
 from .inference import FloorPrediction, OnlineInferenceEngine
 from .types import FingerprintDataset, SignalRecord
 from .weighting import OffsetWeight, WeightFunction
@@ -109,7 +110,8 @@ class GRAFICS:
 
     def __init__(self, config: GraficsConfig | None = None) -> None:
         self.config = config or GraficsConfig()
-        self.graph: BipartiteGraph | None = None
+        #: The training graph frozen without its edges (see ``fit``).
+        self.graph: ServedGraph | None = None
         self.embedding: GraphEmbedding | None = None
         self.clustering: ClusteringResult | None = None
         self.cluster_model: ClusterModel | None = None
@@ -169,13 +171,19 @@ class GRAFICS:
             fit_span.set("records", len(record_list))
             fit_span.set("labels", len(labels))
             with obs.span("fit.graph"):
-                self.graph = build_graph(
+                graph = build_graph(
                     record_list, weight_function=self.config.weight_function)
             self._embedder = self.config.make_embedder()
             with obs.span("fit.embedding") as embed_span:
                 embed_span.set("warm_start", warm_start is not None)
-                self.embedding = self._embedder.fit(self.graph,
+                self.embedding = self._embedder.fit(graph,
                                                     warm_start=warm_start)
+            # Serving never reads the training edges: keep the graph frozen
+            # to its maps (the embedding's own) and degrees, and hand over
+            # the negative sampler the fit built over those degrees.
+            self.graph = graph.freeze(
+                self.embedding.record_index, self.embedding.mac_index,
+                negative_sampler=_SAMPLER_CACHE.negative_sampler(graph))
 
             record_ids = [r.record_id for r in record_list]
             vectors = self.embedding.record_matrix(record_ids)

@@ -221,7 +221,9 @@ def legacy_frozen_inputs(graph, embedding, new_record_ids):
     full negative sampler."""
     indices = [graph.get_node(NodeKind.RECORD, record_id).index
                for record_id in new_record_ids]
-    indices += graph.unknown_mac_indices(embedding.mac_key_set())
+    mac_index = graph.mac_index_map()
+    indices += [mac_index[mac]
+                for mac in mac_index.keys() - embedding.mac_index.keys()]
     trainable = np.unique(np.asarray(indices, dtype=np.int64))
     negatives = _SAMPLER_CACHE.negative_sampler(graph)
     sources, targets, weights = graph.edge_arrays()

@@ -81,7 +81,7 @@ class TestIncrementalEmbedding:
         embedding = embedder.fit(two_floor_graph)
         old_vector = embedding.record_vector("f0-0").copy()
 
-        overlay = GraphOverlay(two_floor_graph)
+        overlay = GraphOverlay(two_floor_graph.freeze())
         overlay.add_record(record("online-1", {"a0": -55.0, "a1": -60.0}))
         enlarged = embedder.embed_new_nodes(overlay, embedding, ["online-1"])
         assert enlarged.has_record("online-1")
@@ -95,7 +95,7 @@ class TestIncrementalEmbedding:
         config = EmbeddingConfig(samples_per_edge=150.0, seed=0, dropout=0.0)
         embedder = ELINEEmbedder(config)
         embedding = embedder.fit(two_floor_graph)
-        overlay = GraphOverlay(two_floor_graph)
+        overlay = GraphOverlay(two_floor_graph.freeze())
         overlay.add_record(record("online-2", {"a0": -50.0, "a1": -52.0,
                                                "a2": -54.0}))
         enlarged = embedder.embed_new_nodes(overlay, embedding, ["online-2"])
@@ -109,7 +109,7 @@ class TestIncrementalEmbedding:
     def test_embed_new_nodes_validation(self, two_floor_graph):
         embedder = ELINEEmbedder(FAST)
         embedding = embedder.fit(two_floor_graph)
-        overlay = GraphOverlay(two_floor_graph)
+        overlay = GraphOverlay(two_floor_graph.freeze())
         with pytest.raises(ValueError):
             embedder.embed_new_nodes(overlay, embedding, ["f0-0"])
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestIncrementalEmbedding:
     def test_empty_new_ids_is_noop(self, two_floor_graph):
         embedder = ELINEEmbedder(FAST)
         embedding = embedder.fit(two_floor_graph)
-        assert embedder.embed_new_nodes(GraphOverlay(two_floor_graph),
+        assert embedder.embed_new_nodes(GraphOverlay(two_floor_graph.freeze()),
                                         embedding, []) is embedding
 
 

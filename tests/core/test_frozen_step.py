@@ -119,13 +119,13 @@ def _trainable(overlay):
 class TestParityWithMaskedStep:
     def test_single_record_overlay(self, building):
         _, graph, embedding, probes = building
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(probes[0])
         _assert_parity(overlay, embedding, [probes[0].record_id], CONFIG)
 
     def test_joint_batch_overlay(self, building):
         _, graph, embedding, probes = building
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         for probe in probes:
             overlay.add_record(probe)
         ids = [probe.record_id for probe in probes]
@@ -135,7 +135,7 @@ class TestParityWithMaskedStep:
     def test_unseen_mac(self, building):
         """Record-new-MAC edges: head and tail both trainable."""
         _, graph, embedding, probes = building
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         probe = record("fresh-scan", dict(probes[1].rss, unseen=-61.0,
                                           unseen2=-70.0))
         overlay.add_record(probe)
@@ -151,7 +151,7 @@ class TestParityWithMaskedStep:
     def test_trainable_negative_of_frozen_head(self, tiny, config):
         graph, probes = tiny
         embedding = _fitted(graph, config)
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(probes[0])
         batches = _assert_parity(overlay, embedding, ["p0"], config)
         trained = _trainable(overlay)
@@ -164,7 +164,7 @@ class TestParityWithMaskedStep:
     def test_settings_on_building(self, building, config):
         train, graph, _, probes = building
         embedding = _fitted(graph, config)
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(probes[0])
         overlay.add_record(probes[1])
         _assert_parity(overlay, embedding,
@@ -227,7 +227,7 @@ class TestOnlineLoss:
         config = replace(CONFIG, batch_size=64)
         embedder = ELINEEmbedder(config)
         embedding = embedder.fit(graph)
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(probes[0])
         (sources, _, _), _ = eline_module._frozen_inputs(overlay)
         total = int(config.samples_per_edge * sources.size)

@@ -1,12 +1,11 @@
-"""Tests for the graph version counter and the incremental array views.
+"""Tests for the graph version counter and the array views.
 
-``BipartiteGraph.version`` is the key the sampler cache builds on, and
-``degree_array`` is maintained incrementally; these tests pin the two
-invariants everything relies on:
+``BipartiteGraph.version`` is the key the fit's sampler cache builds on;
+these tests pin the two invariants everything relies on:
 
 * any mutation bumps the version (and versions are never reused), and
-* the incremental/rebuilt views always equal a from-scratch rebuild,
-  bit for bit, through arbitrary churn.
+* the array views always equal a from-scratch rebuild, bit for bit,
+  through arbitrary churn.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class TestIncrementalViewsUnderChurn:
         if not live:
             return
 
-        # Incremental degree array == from-scratch recompute, bit for bit.
+        # Degree array == per-node recompute, bit for bit.
         np.testing.assert_array_equal(graph.degree_array(),
                                       naive_degree_array(graph))
         # Memoised edge arrays == a mirror built by iterating edges().

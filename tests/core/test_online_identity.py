@@ -4,7 +4,9 @@ Before online inference staged probes on a ``GraphOverlay``, every
 prediction mutated the shared graph: the probe record was inserted,
 embedded against the frozen model and removed again.  The reference below
 *is* that legacy implementation, re-enacted with ``BipartiteGraph.add_record``
-and the legacy frozen update kept as an oracle (``kernel_oracle``).
+on the training graph rebuilt by ``build_graph`` (a fitted model keeps only
+its frozen served graph) and the legacy frozen update kept as an oracle
+(``kernel_oracle``).
 
 The overlay path composes its negative sampler from the base graph's
 cached table (``DeltaNegativeSampler``) instead of rebuilding it per
@@ -20,13 +22,13 @@ differs from the legacy route's.  What must still hold exactly:
 * floor accuracy: equal to the legacy route's over a whole test split on
   three data seeds.
 
-Also pinned: a served model is immutable — predictions never bump
-``BipartiteGraph.version``, leave the pickled model byte-identical, and a
-twin pickled after them serves the same bytes; the version-keyed
-``SamplerCache`` entry survives a sequence of cold predicts instead of
-being evicted by each one; and every cold predict restricts training to
-staged overlay nodes, because a served model's embedding covers every
-MAC of its graph.
+Also pinned: a served model is immutable — predictions never change its
+served graph, leave the pickled model byte-identical, and a twin pickled
+after them serves the same bytes; the base negative sampler the fit hands
+to the served graph survives a sequence of cold predicts without a cache
+miss or rebuild; and every cold predict restricts training to staged
+overlay nodes, because a served model's embedding covers every MAC of its
+graph.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.core.embedding.trainer import (
     ObjectiveTerms,
     clear_sampler_cache,
 )
-from repro.core.graph import BipartiteGraph, NodeKind
+from repro.core.graph import BipartiteGraph, NodeKind, build_graph
 from repro.core.inference import FloorPrediction, OnlineInferenceEngine
 from repro.core.types import SignalRecord
 from repro.data import make_experiment_split, three_story_campus_building
@@ -66,13 +68,15 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
     """The pre-overlay online path: mutate, embed, classify, restore.
 
     A faithful re-enactment of the historical ``_predict_group`` using the
-    public mutating graph API and the legacy frozen update
+    public mutating graph API on the model's ``legacy_graph`` (see
+    :func:`fit_campus`) and the legacy frozen update
     (``kernel_oracle.legacy_embed_new_nodes``).  ``persist=True`` keeps the
-    records and installs the enlarged embedding on the model, growing a
-    consistent base for follow-up checks.
+    records and installs the enlarged embedding, and the grown graph frozen
+    to its maps, on the model, growing a consistent base for follow-up
+    checks.
     """
     engine = model.engine
-    graph, embedding = engine.graph, engine.embedding
+    graph, embedding = model.legacy_graph, engine.embedding
     known_macs = set(graph.mac_index_map())
     for record in records:
         assert not graph.has_node(NodeKind.RECORD, record.record_id)
@@ -98,6 +102,8 @@ def legacy_predict_group(model: GRAFICS, records, persist=False):
                                            embedding=vector.copy()))
     if persist:
         engine.embedding = model.embedding = enlarged
+        engine.graph = model.graph = graph.freeze(enlarged.record_index,
+                                                  enlarged.mac_index)
     else:
         for record in records:
             graph.remove_record(record.record_id)
@@ -131,9 +137,17 @@ def campus_split():
 
 
 def fit_campus(campus_split) -> GRAFICS:
-    """A deterministic fit — two calls produce byte-identical models."""
-    return GRAFICS(CONFIG).fit(list(campus_split.train_records),
-                               campus_split.labels)
+    """A deterministic fit — two calls produce byte-identical models.
+
+    The model also carries ``legacy_graph``, the mutable graph the legacy
+    route works on: its training graph rebuilt with ``build_graph``, which
+    gives the fit's index order.  Pickled twins carry their own copy.
+    """
+    model = GRAFICS(CONFIG).fit(list(campus_split.train_records),
+                                campus_split.labels)
+    model.legacy_graph = build_graph(campus_split.train_records,
+                                     weight_function=CONFIG.weight_function)
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +291,8 @@ def test_floor_accuracy_parity_with_legacy_path():
         split = make_experiment_split(dataset, labels_per_floor=4, seed=0)
         model = fit_campus(split)
         probes = [(r.without_floor(), r.floor) for r in split.test_records]
-        # Overlay first: each legacy predict retires its probe's indices,
-        # growing the graph past the embedding the overlay route freezes.
+        # Each legacy predict retires its probe's indices on the model's
+        # ``legacy_graph`` only; the overlay route never reads that graph.
         overlay_hits += sum(model.predict(probe).floor == floor
                             for probe, floor in probes)
         legacy_hits += sum(legacy_predict_group(model, [probe])[0].floor == floor
@@ -287,7 +301,8 @@ def test_floor_accuracy_parity_with_legacy_path():
 
 
 class TestMutationFreeRegression:
-    """Satellite: no version bumps, sampler-cache entries survive predicts."""
+    """The served graph never changes, and its base sampler survives
+    predicts."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -297,37 +312,43 @@ class TestMutationFreeRegression:
 
     def test_cold_predicts_do_not_bump_version(self, campus_split, probes):
         model = fit_campus(campus_split)
-        version = model.graph.version
+        served = model.graph
+        record_index = dict(served.record_index_map())
+        mac_index = dict(served.mac_index_map())
+        degrees = served.degrees.tobytes()
         for probe in probes:
             model.predict(probe)
         model.predict_batch(probes, independent=True)
         model.predict_batch(probes)
-        assert model.graph.version == version
+        assert model.graph is served
+        assert served.record_index_map() == record_index
+        assert served.mac_index_map() == mac_index
+        assert served.degrees.tobytes() == degrees
 
     def test_sampler_cache_survives_cold_predicts(self, campus_split, probes):
         model = fit_campus(campus_split)
+        # The fit handed its base negative sampler to the served graph: the
+        # one a trainer over the same training graph gets.
+        base_sampler = model.graph.negative_sampler
+        assert base_sampler is not None
         terms = ObjectiveTerms(second_order=True, symmetric=True)
-        config = CONFIG.resolved_embedding_config()
-        # Populate the cache for the model's graph at its current version.
-        EdgeSamplingTrainer(model.graph, config, terms)
-        edge_sampler = _SAMPLER_CACHE.edge_sampler(model.graph)
+        trainer = EdgeSamplingTrainer(model.legacy_graph,
+                                      CONFIG.resolved_embedding_config(), terms)
+        assert (trainer._negative_sampler.weights.tobytes()
+                == base_sampler.weights.tobytes())
         misses_before = _SAMPLER_CACHE.misses
         evictions_before = _SAMPLER_CACHE.evictions
-        version = model.graph.version
 
         for probe in probes[:4]:
             model.predict(probe)
         model.predict_batch(probes, independent=True)
         model.predict_batch(probes)
 
-        # Cold predicts read the entry (the composed negative sampler reuses
-        # the cached base sampler) but never miss, evict or rebuild it: the
-        # version is unchanged and the edge sampler is the same object.
+        # Cold predicts compose over the served base sampler but never
+        # miss, evict or rebuild it.
         assert _SAMPLER_CACHE.evictions == evictions_before
-        assert model.graph.version == version
         assert _SAMPLER_CACHE.misses == misses_before
-        trainer = EdgeSamplingTrainer(model.graph, config, terms)
-        assert trainer._edge_sampler is edge_sampler
+        assert model.graph.negative_sampler is base_sampler
 
     def test_predicts_do_not_grow_index_capacity(self, campus_split, probes):
         """The legacy path retired one index per transient record; the
@@ -352,9 +373,9 @@ class TestServedModelImmutable:
 
     def test_predicts_leave_the_pickle_unchanged(self, campus_split, probes):
         model = fit_campus(campus_split)
-        # Taken before the first predict: the read caches a cold predict
-        # fills (the graph's index maps and MAC vocabulary, the embedding's
-        # MAC key set) are derived and stay out of the pickle.
+        # Taken before the first predict: what a cold predict fills (the
+        # served graph's MAC vocabulary set) and the base sampler the fit
+        # handed over are derived and stay out of the pickle.
         before = pickle.dumps(model)
         arrays_before = (model.graph.degree_array().tobytes(),
                          model.embedding.ego.tobytes(),
@@ -443,7 +464,8 @@ def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
             embedding=CONFIG.embedding, embedder="line",
             allow_unreachable_clusters=True)).fit(
                 list(campus_split.train_records), campus_split.labels)
-    assert model.graph.unknown_mac_indices(model.embedding.mac_key_set()) == []
+    assert model.graph.mac_index_map() == model.embedding.mac_index
+    assert model.graph.index_capacity == model.embedding.ego.shape[0]
 
     trained = []
     original = eline_module._frozen_update
@@ -469,28 +491,3 @@ def test_cold_path_restriction_is_delta_only(flavour, campus_split, probes,
         touched = np.union1d(sources, targets)
         np.testing.assert_array_equal(touched[touched >= base_capacity],
                                       np.arange(base_capacity, capacity))
-
-
-def test_uncovered_base_mac_rejected_once_per_engine(campus_split, probes,
-                                                    monkeypatch):
-    """The premise above is checked when an engine first predicts: a model
-    whose embedding lacks a base MAC raises instead of training only the
-    staged rows, and a covered engine does not check again."""
-    model = fit_campus(campus_split)
-    model.graph.add_mac("grown-after-fit")
-    with pytest.raises(ValueError, match="base index"):
-        model.predict(probes[0])
-
-    checks = []
-    original = BipartiteGraph.unknown_mac_indices
-
-    def counted(self, known):
-        checks.append(self)
-        return original(self, known)
-
-    monkeypatch.setattr(BipartiteGraph, "unknown_mac_indices", counted)
-    covered = fit_campus(campus_split)
-    covered.predict(probes[0])
-    covered.predict_batch(probes[1:4])
-    covered.predict_batch(probes[1:4], independent=True)
-    assert checks == [covered.graph]

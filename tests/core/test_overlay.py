@@ -1,10 +1,10 @@
 """Tests for the GraphOverlay delta view (mutation-free online inference).
 
 The overlay's contract is exact equivalence: every composed view must match
-— bit for bit — what the same reads would return on a base graph that had
-the staged records added directly, while the base graph itself stays
-untouched.  These tests pin that equivalence (including a hypothesis sweep
-over random staging patterns) and the guard rails.
+— bit for bit — what the same reads would return on the training graph with
+the staged records added directly, while the served graph it stages over
+stays untouched.  These tests pin that equivalence (including a hypothesis
+sweep over random staging patterns) and the guard rails.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import BipartiteGraph, NodeKind, build_graph
-from repro.core.overlay import GraphOverlay, StaleOverlayError
+from repro.core.overlay import GraphOverlay
 from repro.core.types import SignalRecord
 
 
@@ -73,7 +73,7 @@ def assert_same_node_indices(overlay, twin):
 
 class TestStaging:
     def test_indices_allocated_past_base_capacity(self, graph):
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         base_capacity = graph.index_capacity
         node = overlay.add_record(record("p0", {"m0": -55.0, "nu": -60.0}))
         assert node.index == base_capacity
@@ -83,7 +83,7 @@ class TestStaging:
 
     def test_same_indices_as_direct_mutation(self, graph):
         probes = probe_records()
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         for probe in probes:
             overlay.add_record(probe)
         twin = mutated_twin(probes)
@@ -91,19 +91,21 @@ class TestStaging:
         assert_same_node_indices(overlay, twin)
 
     def test_base_graph_untouched(self, graph):
-        version = graph.version
-        num_nodes, num_edges = graph.num_nodes, graph.num_edges
-        overlay = GraphOverlay(graph)
+        served = graph.freeze()
+        degrees = served.degrees.tobytes()
+        num_nodes, num_edges = served.num_nodes, served.num_edges
+        overlay = GraphOverlay(served)
         for probe in probe_records():
             overlay.add_record(probe)
-        assert graph.version == version
-        assert graph.num_nodes == num_nodes
-        assert graph.num_edges == num_edges
-        assert not graph.has_node(NodeKind.RECORD, "p0")
-        assert not graph.has_node(NodeKind.MAC, "fresh-a")
+        assert served.degrees.tobytes() == degrees
+        assert served.num_nodes == num_nodes
+        assert served.num_edges == num_edges
+        assert served.index_capacity == graph.index_capacity
+        assert not served.has_node(NodeKind.RECORD, "p0")
+        assert not served.has_node(NodeKind.MAC, "fresh-a")
 
     def test_lookups_resolve_base_and_delta(self, graph):
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(record("p0", {"m0": -55.0, "nu": -60.0}))
         assert overlay.has_node(NodeKind.RECORD, "r0")
         assert overlay.has_node(NodeKind.RECORD, "p0")
@@ -116,7 +118,7 @@ class TestStaging:
         assert [n.key for n in overlay.delta_nodes()] == ["p0", "nu"]
 
     def test_duplicate_record_rejected(self, graph):
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         with pytest.raises(ValueError, match="already in the graph"):
             overlay.add_record(record("r0", {"m0": -50.0}))
         overlay.add_record(record("p0", {"m0": -55.0}))
@@ -127,7 +129,7 @@ class TestStaging:
 class TestComposedViews:
     def test_degree_array_matches_mutated_twin(self, graph):
         probes = probe_records()
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         for probe in probes:
             overlay.add_record(probe)
         np.testing.assert_array_equal(overlay.degree_array(),
@@ -135,7 +137,7 @@ class TestComposedViews:
 
     def test_incident_edges_delta_restriction_matches_twin(self, graph):
         probes = probe_records()
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         for probe in probes:
             overlay.add_record(probe)
         twin = mutated_twin(probes)
@@ -143,16 +145,21 @@ class TestComposedViews:
 
 
 class TestGuardRails:
-    def test_stale_after_base_mutation(self, graph):
-        overlay = GraphOverlay(graph)
+    def test_plain_graph_rejected(self, graph):
+        with pytest.raises(TypeError, match="ServedGraph"):
+            GraphOverlay(graph)
+
+    def test_served_graph_is_a_snapshot(self, graph):
+        """Growing the training graph after freezing leaves the view (and
+        overlays over it) as they were; there is no stale state to guard."""
+        served = graph.freeze()
+        overlay = GraphOverlay(served)
         overlay.add_record(record("p0", {"m0": -55.0}))
+        before = overlay.degree_array()
         graph.add_record(record("interloper", {"m0": -45.0}))
-        with pytest.raises(StaleOverlayError):
-            overlay.degree_array()
-        with pytest.raises(StaleOverlayError):
-            overlay.add_record(record("p1", {"m1": -52.0}))
-        with pytest.raises(StaleOverlayError):
-            overlay.incident_edge_arrays()
+        np.testing.assert_array_equal(overlay.degree_array(), before)
+        assert not served.has_node(NodeKind.RECORD, "interloper")
+        assert not served.degrees.flags.writeable
 
 
 @st.composite
@@ -175,7 +182,7 @@ class TestOverlayEquivalenceProperty:
     @settings(max_examples=40, deadline=None)
     def test_views_match_mutated_twin(self, probes):
         graph = build_graph(base_records())
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         for probe in probes:
             overlay.add_record(probe)
         twin = mutated_twin(probes)
@@ -188,7 +195,7 @@ class TestOverlayEquivalenceProperty:
 
 
 class TestGraphFastViews:
-    """The satellite graph caches the overlay fast path rides on."""
+    """The served view the overlay fast path rides on."""
 
     def test_num_edges_counter_matches_recount(self, graph):
         assert graph.num_edges == sum(
@@ -199,35 +206,29 @@ class TestGraphFastViews:
         assert graph.num_edges == sum(1 for _ in graph.edges())
 
     def test_mac_vocabulary_cached_per_version(self, graph):
-        first = graph.mac_vocabulary()
-        assert first is graph.mac_vocabulary()      # cached object
-        assert first == frozenset(graph.mac_index_map())
+        served = graph.freeze()
+        first = served.mac_vocabulary()
+        assert first is served.mac_vocabulary()      # built once per view
+        assert first == graph.mac_vocabulary()
         graph.add_record(record("extra", {"brand-new": -60.0}))
-        second = graph.mac_vocabulary()
-        assert second is not first
+        second = graph.freeze().mac_vocabulary()
         assert "brand-new" in second
+        assert "brand-new" not in served.mac_vocabulary()
 
     def test_index_maps_cached_per_version(self, graph):
-        first = graph.mac_index_map()
-        assert first is graph.mac_index_map()
-        records_first = graph.record_index_map()
-        assert records_first is graph.record_index_map()
+        record_index, mac_index = graph.record_index_map(), graph.mac_index_map()
+        served = graph.freeze(record_index, mac_index)
+        assert served.record_index_map() is record_index   # shared, not copied
+        assert served.mac_index_map() is mac_index
+        assert graph.freeze().mac_index_map() == mac_index
         graph.add_record(record("extra", {"m0": -60.0}))
-        assert graph.mac_index_map() is not first
-        assert graph.record_index_map() is not records_first
         assert "extra" in graph.record_index_map()
-
-    def test_unknown_mac_indices(self, graph):
-        assert graph.unknown_mac_indices(graph.mac_vocabulary()) == []
-        known = graph.mac_vocabulary() - {"m1", "m3"}
-        expected = {graph.get_node(NodeKind.MAC, "m1").index,
-                    graph.get_node(NodeKind.MAC, "m3").index}
-        assert set(graph.unknown_mac_indices(known)) == expected
+        assert "extra" not in served.record_index_map()
 
 
 def test_empty_base_graph_overlay():
     graph = BipartiteGraph()
-    overlay = GraphOverlay(graph)
+    overlay = GraphOverlay(graph.freeze())
     node = overlay.add_record(record("p0", {"a": -50.0, "b": -60.0}))
     assert node.index == 0
     assert overlay.num_edges == 2

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,19 @@ from repro.core.persistence import (
 from repro.core.registry import MultiBuildingFloorService
 from repro.core.weighting import PowerWeight
 from repro.data import make_experiment_split, small_test_building
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from legacy_model_file import rewrite_model_arrays, save_format1_model  # noqa: E402
+
+
+def prediction_bytes(model, probes) -> list[tuple]:
+    """Every prediction mode's floor, distance and embedding bytes."""
+    predictions = ([model.predict(probe) for probe in probes]
+                   + model.predict_batch(probes)
+                   + model.predict_batch(probes, independent=True))
+    return [(p.record_id, p.floor, p.distance, p.embedding.tobytes())
+            for p in predictions]
 
 
 class TestPersistence:
@@ -52,8 +67,10 @@ class TestPersistence:
     @pytest.mark.parametrize("dropped", ["last-record", "middle-record",
                                          "mac"])
     def test_edge_naming_unindexed_node_is_corrupt(self, trained_grafics,
-                                                   tmp_path, dropped):
-        """An edge list naming a node the saved index maps lack is corrupt.
+                                                   small_split, tmp_path,
+                                                   dropped):
+        """A format-1 edge list naming a node the saved index maps lack is
+        corrupt.
 
         ``last-record`` is the shape a model that grew a record after its
         embedding was fitted would write: the rows stay contiguous, so the
@@ -61,21 +78,72 @@ class TestPersistence:
         non-contiguous fallback instead.
         """
         path = tmp_path / "grafics.npz"
-        save_model(trained_grafics, path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
-        if dropped == "mac":
-            del metadata["mac_index"][metadata["edges"][0][0]]
-        else:
-            rows = sorted(metadata["record_index"].items(), key=lambda kv: kv[1])
-            victim = rows[-1] if dropped == "last-record" else rows[len(rows) // 2]
-            del metadata["record_index"][victim[0]]
-        arrays["metadata"] = np.frombuffer(
-            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
+        save_format1_model(trained_grafics, small_split.train_records, path)
+
+        def drop(arrays):
+            metadata = json.loads(arrays["metadata"].tobytes().decode("utf-8"))
+            if dropped == "mac":
+                del metadata["mac_index"][metadata["edges"][0][0]]
+            else:
+                rows = sorted(metadata["record_index"].items(),
+                              key=lambda kv: kv[1])
+                victim = (rows[-1] if dropped == "last-record"
+                          else rows[len(rows) // 2])
+                del metadata["record_index"][victim[0]]
+            arrays["metadata"] = np.frombuffer(
+                json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+
+        rewrite_model_arrays(path, drop)
         with pytest.raises(CheckpointCorruptError, match="index maps"):
             load_model(path)
+
+    @pytest.mark.parametrize("fault", ["degrees-missing", "degrees-short",
+                                       "degrees-long", "embedding-short"])
+    def test_format2_parts_must_span_the_index_maps(self, trained_grafics,
+                                                    tmp_path, fault):
+        """A format-2 file whose degree vector (or embedding) does not
+        cover exactly the indices of its saved maps cannot be served."""
+        path = tmp_path / "grafics.npz"
+        save_model(trained_grafics, path)
+
+        def damage(arrays):
+            if fault == "degrees-missing":
+                del arrays["degrees"]
+            elif fault == "degrees-short":
+                arrays["degrees"] = arrays["degrees"][:-1]
+            elif fault == "degrees-long":
+                arrays["degrees"] = np.append(arrays["degrees"], 1.0)
+            else:
+                arrays["ego"] = arrays["ego"][:-1]
+
+        rewrite_model_arrays(path, damage)
+        with pytest.raises(CheckpointCorruptError,
+                           match="degrees|index maps"):
+            load_model(path)
+
+    @pytest.mark.parametrize("file_format", [1, 2])
+    def test_model_file_formats_serve_identical_bytes(self, trained_grafics,
+                                                      small_split, tmp_path,
+                                                      file_format):
+        """A model loaded from either file format serves the bytes of the
+        model it was saved from; format 2 stores degrees, not edges."""
+        path = tmp_path / "grafics.npz"
+        if file_format == 1:
+            save_format1_model(trained_grafics, small_split.train_records,
+                               path)
+        else:
+            save_model(trained_grafics, path)
+            with np.load(path) as archive:
+                metadata = json.loads(archive["metadata"].tobytes())
+                assert "edges" not in metadata
+                assert metadata["format_version"] == 2
+                assert metadata["num_edges"] == trained_grafics.graph.num_edges
+                assert (archive["degrees"].tobytes()
+                        == trained_grafics.graph.degrees.tobytes())
+        restored = load_model(path)
+        probes = [r.without_floor() for r in small_split.test_records[:6]]
+        assert (prediction_bytes(restored, probes)
+                == prediction_bytes(trained_grafics, probes))
 
     def test_custom_weight_function_round_trip(self, small_split, tmp_path):
         config = GraficsConfig(

@@ -143,7 +143,7 @@ class TestFrozenUpdate:
 
     @staticmethod
     def staged(graph):
-        overlay = GraphOverlay(graph)
+        overlay = GraphOverlay(graph.freeze())
         overlay.add_record(probe())
         return overlay
 
@@ -192,7 +192,7 @@ class TestFrozenUpdate:
     def test_empty_overlay_rejected(self, small_graph, fitted):
         embedder, embedding = fitted
         with pytest.raises(ValueError, match="selects no edges"):
-            embedder.embed_new_nodes_arrays(GraphOverlay(small_graph),
+            embedder.embed_new_nodes_arrays(GraphOverlay(small_graph.freeze()),
                                             embedding, [])
 
     @pytest.mark.parametrize("rows", [-1, 1], ids=["one-too-few",

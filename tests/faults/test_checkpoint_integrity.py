@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stream_helpers import stream_records, train_service
@@ -22,6 +26,10 @@ from repro.stream import (
     SchedulerConfig,
     WindowConfig,
 )
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "core"))
+
+from legacy_model_file import rewrite_model_arrays  # noqa: E402
 
 
 def pipeline_config():
@@ -171,6 +179,38 @@ class TestRotationAndRecovery:
         model_file.write_bytes(model_file.read_bytes()[:64])
         resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
         assert resumed.processed_total == 30
+
+    @pytest.mark.parametrize("fault", ["degrees-missing", "degrees-short"])
+    def test_inconsistent_model_file_falls_back_wholesale(self, tmp_path,
+                                                          fault):
+        """A current model file that passes its manifest digest but whose
+        degree vector does not span its index maps is corrupt too: resume
+        falls back to the retained generation, as for a torn file."""
+        self.run_two_checkpoints(tmp_path)
+        registry = tmp_path / "ckpt" / "registry"
+        model_file = next(registry.glob("building-*.npz"))
+
+        def damage(arrays):
+            if fault == "degrees-missing":
+                del arrays["degrees"]
+            else:
+                arrays["degrees"] = arrays["degrees"][:-1]
+
+        rewrite_model_arrays(model_file, damage)
+        manifest_path = registry / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for blob in manifest["buildings"]:
+            if blob["file"] == model_file.name:
+                blob["sha256"] = hashlib.sha256(
+                    model_file.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointCorruptError, match="degrees"):
+            load_registry(registry)
+        resumed = ContinuousLearningPipeline.resume(tmp_path / "ckpt")
+        assert resumed.processed_total == 30
+        with np.load(next((tmp_path / "ckpt" / "previous" / "registry")
+                          .glob("building-*.npz"))) as archive:
+            assert "degrees" in archive.files
 
     def test_no_previous_and_corrupt_current_still_raises(self, tmp_path):
         service, splits = train_service()

@@ -10,9 +10,9 @@ must preserve:
   return predictions byte-identical to the sequential schedule;
 * a prediction computed against a model that was swapped out mid-flight is
   still returned but never cached (the stale-put guard);
-* serving-path predictions leave the model graph's version untouched, so
-  the version-keyed sampler cache survives cold traffic (cold predicts
-  only read it).
+* serving-path predictions leave each model's served graph untouched, and
+  the base negative sampler the fit handed to it survives cold traffic
+  (cold predicts only read it).
 """
 
 from __future__ import annotations
@@ -235,12 +235,10 @@ class TestServingLeavesModelStateUntouched:
         probes = interleaved_probes(held_out, per_building=3)
         graphs = [service.model_for(building_id).graph
                   for building_id in service.building_ids]
-        versions = [graph.version for graph in graphs]
-        # Populate each base graph's entry (edge + negative sampler), as
-        # the fit did before the cache was cleared.
-        edge_samplers = [_SAMPLER_CACHE.edge_sampler(graph) for graph in graphs]
-        for graph in graphs:
-            _SAMPLER_CACHE.negative_sampler(graph)
+        degrees = [graph.degrees.tobytes() for graph in graphs]
+        # Each fit handed its base negative sampler to the served graph.
+        samplers = [graph.negative_sampler for graph in graphs]
+        assert all(sampler is not None for sampler in samplers)
         misses_before = _SAMPLER_CACHE.misses
         evictions_before = _SAMPLER_CACHE.evictions
 
@@ -249,11 +247,12 @@ class TestServingLeavesModelStateUntouched:
             service.predict(probe)
         service.predict_batch(probes)
 
-        assert [graph.version for graph in graphs] == versions
-        # Cold predicts read each entry (the composed negative sampler
-        # reuses the cached base sampler) but never miss, evict or rebuild
-        # one.
+        assert all(service.model_for(building_id).graph is graph
+                   for building_id, graph in zip(service.building_ids, graphs))
+        assert [graph.degrees.tobytes() for graph in graphs] == degrees
+        # Cold predicts compose over each served base sampler but never
+        # miss, evict or rebuild one.
         assert _SAMPLER_CACHE.evictions == evictions_before
         assert _SAMPLER_CACHE.misses == misses_before
-        for graph, edge_sampler in zip(graphs, edge_samplers):
-            assert _SAMPLER_CACHE.edge_sampler(graph) is edge_sampler
+        for graph, sampler in zip(graphs, samplers):
+            assert graph.negative_sampler is sampler
